@@ -34,19 +34,13 @@ from .schemes import (
     DiscreteGrid,
     EstimateResult,
     LatticeBall,
-    SampleBatch,
     Scheme,
     SmoothCutoff,
     TruncatedPareto,
-    h_eval,
     lln_deviation,
     load_scheme_config,
-    mean_mu_n,
-    sample_batch_sums,
-    sample_sum,
-    sample_w,
+    sample_sums,
     save_scheme_config,
-    spawn_worker_rngs,
 )
 from .torus import (
     DegreeSummary,

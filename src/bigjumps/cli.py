@@ -2,7 +2,7 @@
 
 Scientific parameters (alpha, beta, c, rho, width, eps, zeta) must be given
 explicitly or through a named scheme config echoed in the manifest; only
-plumbing (output paths, worker counts) has defaults.  Tables are CSV,
+plumbing (output paths) has defaults.  Tables are CSV,
 scalars and records JSON, and every output is accompanied by a manifest
 that reproduces it bit for bit.
 """
@@ -139,9 +139,7 @@ def _cmd_lln(args):
     spec = _load_scheme(args)
     rows = []
     for i, n in enumerate(args.n_list):
-        est = schemes.lln_deviation(
-            spec, n, zeta=args.zeta, samples=args.samples, seed=args.seed + i, workers=args.workers
-        )
+        est = schemes.lln_deviation(spec, n, zeta=args.zeta, samples=args.samples, seed=args.seed + i)
         rows.append({"n": n, "prob": est.prob, "std_error": est.std_error})
     _write_csv(_outdir(args) / "lln.csv", ["n", "prob", "std_error"], rows)
     _emit(rows, args)
@@ -159,9 +157,7 @@ def _cmd_estimate(args):
     window = _window(args)
     mu_n, _ = spec.mu_n(args.n)
     if args.method == "naive":
-        est = rare_event.estimate_naive(
-            spec, args.n, window, mu_n, args.samples, seed=args.seed, workers=args.workers
-        )
+        est = rare_event.estimate_naive(spec, args.n, window, mu_n, args.samples, seed=args.seed)
     else:
         est = rare_event.estimate_structured(
             spec, args.n, window, eps=args.eps, krho=None, samples=args.samples, seed=args.seed
@@ -355,8 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-list", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="substream count; results are fixed for a given (seed, workers)")
 
     p = add("estimate", _cmd_estimate, help="estimate P(S_n in I_n)")
     p.add_argument("--scheme", required=True)
@@ -368,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="naive", choices=["naive", "structured"])
     p.add_argument("--eps", type=float, help="big-jump threshold fraction (structured)")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1,
-                   help="substream count; results are fixed for a given (seed, workers)")
 
     p = add("ldp-sweep", _cmd_ldp_sweep, help="ratio table over an n sweep")
     p.add_argument("--scheme", required=True)
@@ -451,7 +443,7 @@ def run(argv: list[str] | None = None) -> int:
             raise ValueError("give --width or --power-width explicitly")
         args.func(args)
         _write_manifest(args, getattr(args, "_name", args.command), started, _params(args))
-    except (ValueError, TypeError, OSError, KeyError, MemoryError, RuntimeError) as exc:
+    except (ValueError, OSError, MemoryError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -96,7 +96,7 @@ def _edge_divergent(f: Callable, a: float, b: float) -> bool:
         try:
             f1 = float(f(np.array([edge + sign * d1]))[0])
             f2 = float(f(np.array([edge + sign * d2]))[0])
-        except Exception:
+        except ArithmeticError:  # overflow or division by zero at the edge
             return True
         if not (math.isfinite(f1) and math.isfinite(f2)):
             return True

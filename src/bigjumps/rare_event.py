@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,9 +34,8 @@ from .schemes import (
     EstimateResult,
     Scheme,
     _binomial_result,
-    _split_counts,
+    _row_blocks,
     sample_sums,
-    spawn_worker_rngs,
 )
 
 __all__ = [
@@ -179,7 +179,6 @@ def estimate_naive(
     samples: int,
     rng: np.random.Generator | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> EstimateResult:
     """Hit-counting estimate of P(S_n in I_n) with binomial standard error."""
     if samples < 10_000:
@@ -187,12 +186,9 @@ def estimate_naive(
     if not math.isnan(getattr(spec, "alpha", float("nan"))):
         window.validate_for_alpha(spec.alpha)
     lo, hi = window.interval(n, mu_ref)
-    rngs = [rng] if rng is not None else spawn_worker_rngs(seed, workers)
-    counts = _split_counts(samples, len(rngs))
-    hits = 0
-    for g, cnt in zip(rngs, counts):
-        s = sample_sums(spec, n, cnt, g)
-        hits += int(np.count_nonzero((s >= lo) & (s <= hi)))
+    rng = np.random.default_rng(seed) if rng is None else rng
+    s = sample_sums(spec, n, samples, rng)
+    hits = int(np.count_nonzero((s >= lo) & (s <= hi)))
     if hits < 25:
         warnings.warn(f"only {hits} hits out of {samples} samples; estimate is unreliable", stacklevel=2)
     return _binomial_result(hits, samples, method="naive")
@@ -274,30 +270,22 @@ def jump_sum_window_prob(
         )
     rng = np.random.default_rng(seed) if rng is None else rng
     margin = sigma1 - (k - 1)
-    chunk = max(1, (1 << 21) // max(k, 1))
     if margin <= 0.0:
         # no boosting possible; plain hit counting on T_k
-        hits, done = 0, 0
-        while done < samples:
-            c = min(chunk, samples - done)
-            t_k = spec.sample(n, rng, size=(c, k)).sum(axis=1)
-            hits += int(np.count_nonzero((t_k >= n * sigma1) & (t_k <= n * sigma2)))
-            done += c
-        return _binomial_result(hits, samples, method="naive")
-    threshold = margin * n * (1.0 - 1e-12)
-    p_tail = spec.tail(n, threshold)
-    if p_tail <= 0.0:
-        return EstimateResult(prob=0.0, std_error=0.0, samples=samples, hits=0, method="importance")
-    weight = p_tail ** k
-    hits, done = 0, 0
-    while done < samples:
-        c = min(chunk, samples - done)
-        t_k = spec.sample_above(n, threshold, rng, (c, k)).sum(axis=1)
+        method, weight, draw = "naive", 1.0, partial(spec.sample, n, rng)
+    else:
+        threshold = margin * n * (1.0 - 1e-12)
+        p_tail = spec.tail(n, threshold)
+        if p_tail <= 0.0:
+            return EstimateResult(prob=0.0, std_error=0.0, samples=samples, hits=0, method="importance")
+        method, weight, draw = "importance", p_tail ** k, partial(spec.sample_above, n, threshold, rng)
+    hits = 0
+    for rows in _row_blocks(draw, k, samples):
+        t_k = rows.sum(axis=1)
         hits += int(np.count_nonzero((t_k >= n * sigma1) & (t_k <= n * sigma2)))
-        done += c
-    p_cond = hits / samples
-    se = weight * math.sqrt(max(p_cond * (1.0 - p_cond), 0.0) / samples)
-    return EstimateResult(prob=weight * p_cond, std_error=se, samples=samples, hits=hits, method="importance")
+    p = hits / samples
+    se = weight * math.sqrt(p * (1.0 - p) / samples)
+    return EstimateResult(prob=weight * p, std_error=se, samples=samples, hits=hits, method=method)
 
 
 def estimate_structured(
@@ -394,10 +382,8 @@ def conditional_profiles(
     eps_n = eps * n
     profiles: list[JumpProfile] = []
     used = 0
-    chunk = max(1, min(4096, (1 << 22) // max(n, 1)))
-    while len(profiles) < target_hits and used < max_samples:
-        c = min(chunk, max_samples - used)
-        w = spec.sample(n, rng, size=(c, n))
+    for w in _row_blocks(partial(spec.sample, n, rng), n, max_samples):
+        used += len(w)
         s = w.sum(axis=1)
         for i in np.flatnonzero((s >= lo) & (s <= hi)):
             prof = _decompose(w[i], eps_n)
@@ -405,7 +391,8 @@ def conditional_profiles(
                 profiles.append(prof)
                 if len(profiles) >= target_hits:
                     break
-        used += c
+        if len(profiles) >= target_hits:
+            break
     if len(profiles) < target_hits:
         warnings.warn(
             f"collected {len(profiles)} of {target_hits} hits after {used} replicas",

@@ -29,9 +29,9 @@ All samplers are inverse-CDF (no rejection) and reproducible from
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,14 +43,8 @@ __all__ = [
     "LatticeBall",
     "DiscreteGrid",
     "EstimateResult",
-    "SampleBatch",
-    "sample_w",
-    "sample_sum",
-    "h_eval",
-    "mean_mu_n",
+    "sample_sums",
     "lln_deviation",
-    "sample_batch_sums",
-    "spawn_worker_rngs",
     "load_scheme_config",
     "save_scheme_config",
 ]
@@ -77,22 +71,22 @@ def _binomial_result(hits: int, samples: int, method: str) -> EstimateResult:
     return EstimateResult(prob=p, std_error=se, samples=samples, hits=hits, method=method)
 
 
-def spawn_worker_rngs(seed: int, workers: int) -> list[np.random.Generator]:
-    """Independent per-worker streams derived from (seed, worker_index).
+# Elements per row block: large enough to amortize the per-call overhead,
+# small enough to stay in cache.
+_BLOCK = 1 << 16
 
-    Results combined in worker-index order are deterministic for a fixed
-    (seed, workers) pair regardless of scheduling.
+
+def _row_blocks(draw, width: int, count: int):
+    """Yield `count` rows of `width` draws as (rows, width) blocks of about _BLOCK elements.
+
+    `draw(shape)` returns the next rows of the caller's single Generator.
+    Every built-in draw consumes its stream in row order, so the
+    concatenated rows, and every result built from them, do not depend on
+    the block size.
     """
-    ss = np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(workers)]
-
-
-def _split_counts(total: int, workers: int) -> list[int]:
-    base = total // workers
-    counts = [base] * workers
-    for i in range(total - base * workers):
-        counts[i] += 1
-    return counts
+    rows = max(1, _BLOCK // width)
+    for start in range(0, count, rows):
+        yield draw((min(rows, count - start), width))
 
 
 class Scheme:
@@ -410,8 +404,9 @@ class DiscreteGrid(Scheme):
 
     def sum_indices(self, n, rng, size):
         """Index sums of n draws per replica, via multinomial counts (exact law)."""
-        counts = rng.multinomial(n, self.pmf, size=size)
-        return counts @ np.arange(self.m + 1)
+        index = np.arange(self.m + 1)
+        blocks = _row_blocks(lambda shape: rng.multinomial(n, self.pmf, size=shape[0]), self.m + 1, size)
+        return np.concatenate([np.empty(0, dtype=np.int64), *(counts @ index for counts in blocks)])
 
     def tail(self, n, y):
         step = self.grid_step(n)
@@ -440,46 +435,15 @@ class DiscreteGrid(Scheme):
 
 
 # ---------------------------------------------------------------------------
-# operation-style wrappers
-
-
-def sample_w(spec: Scheme, n: int, rng: np.random.Generator, size: int | None = None):
-    """One draw (or `size` draws) of W(n); every value lies in [0, n]."""
-    return spec.sample(n, rng, size=size)
-
-
-def sample_sum(spec: Scheme, n: int, rng: np.random.Generator, keep_vector: bool = False):
-    """Row sum S_n = W_1 + ... + W_n (optionally with the full coordinate vector)."""
-    w = spec.sample(n, rng, size=n)
-    s = float(np.sum(w))
-    if keep_vector:
-        return s, w
-    return s
+# replicated row sums
 
 
 def sample_sums(spec: Scheme, n: int, count: int, rng: np.random.Generator):
-    """`count` independent row sums, chunked so memory stays bounded."""
+    """`count` independent row sums S_n = W_1 + ... + W_n, drawn in row blocks."""
     if isinstance(spec, DiscreteGrid):
         return spec.sum_indices(n, rng, count) * spec.grid_step(n)
-    out = np.empty(count)
-    chunk = max(1, (1 << 23) // max(n, 1))
-    done = 0
-    while done < count:
-        c = min(chunk, count - done)
-        w = spec.sample(n, rng, size=(c, n))
-        out[done : done + c] = w.sum(axis=1)
-        done += c
-    return out
-
-
-def h_eval(spec: Scheme, x):
-    """Shape density h of the scheme at x in (0, 1)."""
-    return spec.h(x)
-
-
-def mean_mu_n(spec: Scheme, n: int, samples: int = 200_000, rng: np.random.Generator | None = None):
-    """Row mean mu_n = E W(n) as (value, std_error); analytic where closed forms exist."""
-    return spec.mu_n(n, samples=samples, rng=rng)
+    sums = [w.sum(axis=1) for w in _row_blocks(partial(spec.sample, n, rng), n, count)]
+    return np.concatenate([np.empty(0), *sums])
 
 
 def lln_deviation(
@@ -488,8 +452,7 @@ def lln_deviation(
     zeta: float,
     samples: int,
     rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    workers: int = 1,
+    seed: int = 0,
 ) -> EstimateResult:
     """Empirical P(|S_n - n*mu_n| > zeta*n) with binomial standard error."""
     if zeta <= 0.0:
@@ -497,52 +460,10 @@ def lln_deviation(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     mu, _ = spec.mu_n(n)
-    rngs = spawn_worker_rngs(seed if seed is not None else 0, workers) if rng is None else [rng]
-    counts = _split_counts(samples, len(rngs))
-    hits = 0
-    for g, cnt in zip(rngs, counts):
-        s = sample_sums(spec, n, cnt, g)
-        hits += int(np.count_nonzero(np.abs(s - n * mu) > zeta * n))
+    rng = np.random.default_rng(seed) if rng is None else rng
+    s = sample_sums(spec, n, samples, rng)
+    hits = int(np.count_nonzero(np.abs(s - n * mu) > zeta * n))
     return _binomial_result(hits, samples, method="lln")
-
-
-# ---------------------------------------------------------------------------
-# batches and persistence
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Replicated draws (or row sums) produced from (spec, n, seed)."""
-
-    n: int
-    values: np.ndarray
-    seed: int
-    kind: str = "sums"  # "sums" or "draws"
-    spec: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        v = np.asarray(self.values)
-        if self.kind == "sums":
-            hi = float(self.n) * self.n
-        else:
-            hi = float(self.n)
-        if v.size and (v.min() < 0 or v.max() > hi * (1 + 1e-12)):
-            raise ValueError("batch values outside the admissible range")
-
-    def to_csv(self, path: str | Path) -> None:
-        header = json.dumps({"spec": self.spec, "n": self.n, "seed": self.seed, "kind": self.kind})
-        with open(path, "w") as fh:
-            fh.write(f"# {header}\n")
-            fh.write("replica,value\n")
-            for i, v in enumerate(np.asarray(self.values).ravel()):
-                fh.write(f"{i},{v!r}\n")
-
-
-def sample_batch_sums(spec: Scheme, n: int, replicas: int, seed: int, workers: int = 1) -> SampleBatch:
-    rngs = spawn_worker_rngs(seed, workers)
-    counts = _split_counts(replicas, workers)
-    parts = [sample_sums(spec, n, cnt, g) for g, cnt in zip(rngs, counts)]
-    return SampleBatch(n=n, values=np.concatenate(parts), seed=seed, kind="sums", spec=spec.spec_dict())
 
 
 # ---------------------------------------------------------------------------
@@ -553,14 +474,17 @@ _SHAPES = {"truncated_pareto", "smooth_cutoff", "lattice_ball", "discrete_grid"}
 
 def scheme_from_dict(d: dict) -> Scheme:
     shape = d.get("shape")
-    if shape == "truncated_pareto":
-        return TruncatedPareto(c=float(d["c"]), alpha=float(d["alpha"]))
-    if shape == "smooth_cutoff":
-        return SmoothCutoff(c=float(d["c"]), alpha=float(d["alpha"]))
-    if shape == "lattice_ball":
-        return LatticeBall(d=int(d["d"]), beta=float(d["beta"]))
-    if shape == "discrete_grid":
-        return DiscreteGrid(pmf=tuple(float(v) for v in d["pmf"]))
+    try:
+        if shape == "truncated_pareto":
+            return TruncatedPareto(c=float(d["c"]), alpha=float(d["alpha"]))
+        if shape == "smooth_cutoff":
+            return SmoothCutoff(c=float(d["c"]), alpha=float(d["alpha"]))
+        if shape == "lattice_ball":
+            return LatticeBall(d=int(d["d"]), beta=float(d["beta"]))
+        if shape == "discrete_grid":
+            return DiscreteGrid(pmf=tuple(float(v) for v in d["pmf"]))
+    except KeyError as exc:
+        raise ValueError(f"scheme config for {shape!r} is missing {exc.args[0]}") from None
     raise ValueError(f"unknown scheme shape {shape!r}; expected one of {sorted(_SHAPES)}")
 
 

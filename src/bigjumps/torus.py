@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -300,19 +301,29 @@ class GeometryTable:
     @classmethod
     def build(cls, d: int) -> "GeometryTable":
         path = cls._cache_path(d)
-        if path.exists():
-            data = np.loadtxt(path, delimiter=",", skiprows=1)
-            return cls(d=d, r=data[:, 0], g=data[:, 1])
         r = np.linspace(0.0, 1.0, _TABLE_GRID)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            if data.shape == (_TABLE_GRID, 2) and np.array_equal(data[:, 0], r):
+                return cls(d=d, r=r, g=data[:, 1])
+        except (OSError, ValueError):
+            pass  # missing or unreadable cache: rebuild it
         g = np.array([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
         g = np.maximum.accumulate(g)
         table = cls(d=d, r=r, g=g)
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            with open(path, "w") as fh:
-                fh.write("r,g\n")
-                for ri, gi in zip(r, g):
-                    fh.write(f"{float(ri)!r},{float(gi)!r}\n")
+            # write a sibling temp file and rename it, so readers never see a partial table
+            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as fh:
+                    fh.write("r,g\n")
+                    for ri, gi in zip(r, g):
+                        fh.write(f"{float(ri)!r},{float(gi)!r}\n")
+                os.replace(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
         except OSError:
             pass  # cache is best-effort
         return table

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+from bigjumps import cli
 from bigjumps.cli import run
 
 
@@ -196,3 +198,43 @@ def test_lln_and_tail_check(tmp_path, pareto_cfg, capsys):
     rows = json.loads(capsys.readouterr().out)
     for row in rows:
         assert abs(row["ratio"] - 1.0) < 4 * row["std_error"] / row["expected"] + 0.02
+
+
+def test_estimate_does_not_depend_on_cpu_count(tmp_path, pareto_cfg, capsys, monkeypatch):
+    argv = [
+        "--outdir", str(tmp_path),
+        "estimate", "--scheme", str(pareto_cfg), "--n", "256", "--rho", "0.5",
+        "--width", "0.1", "--samples", "20000", "--seed", "1",
+    ]
+    outs = []
+    for cpus in (1, 8):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert run(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_workers_flag_is_usage_error(tmp_path, pareto_cfg):
+    argv = [
+        "--outdir", str(tmp_path),
+        "estimate", "--scheme", str(pareto_cfg), "--n", "256", "--rho", "0.5",
+        "--width", "0.1", "--samples", "20000", "--workers", "2",
+    ]
+    assert run(argv) == 2
+
+
+def test_config_missing_key_is_domain_error(tmp_path, capsys):
+    cfg = tmp_path / "no_alpha.cfg"
+    cfg.write_text("shape = truncated_pareto\nc = 1.5\n")
+    code = run(["--outdir", str(tmp_path), "krho", "--scheme", str(cfg), "--rho", "0.5", "--k", "1", "--tol", "1e-9"])
+    assert code == 1
+    assert "alpha" in capsys.readouterr().err
+
+
+def test_programming_error_propagates(tmp_path, monkeypatch):
+    def broken(args):
+        raise KeyError("not a domain error")
+
+    monkeypatch.setattr(cli, "_cmd_krho", broken)
+    with pytest.raises(KeyError):
+        run(["--outdir", str(tmp_path), "krho", "--h", "uniform", "--rho", "1.5", "--k", "2", "--tol", "1e-6"])

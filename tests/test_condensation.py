@@ -76,6 +76,13 @@ class TestCondensationConstant:
         assert math.isinf(res.value)
         assert "divergent" in res.note
 
+    def test_raising_h_propagates(self):
+        def h_bug(x):
+            raise KeyError("bug in h")
+
+        with pytest.raises(KeyError):
+            condensation_constant(h_bug, rho=1.5, k=2, tol=1e-10, method="grid")
+
     def test_k4_monte_carlo_against_simplex_volume(self):
         # h = 1, rho = 3.5: P(U1+U2+U3 in (2.5, 3.5)) = 0.5^3/6
         res = condensation_constant(uniform_h, rho=3.5, k=4, method="monte_carlo", samples=300_000, seed=2)

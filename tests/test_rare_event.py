@@ -59,9 +59,11 @@ class TestRhoWindow:
 
 class TestEstimateNaive:
     def test_full_support_window(self):
-        # window [0, n^2] in sum space: every replica hits
+        # window [0, 1600] covers the whole support [0, n^2] of S_n: every replica hits
         w = RhoWindow(0.5, ("fixed", 100.0))
-        est = estimate_naive(DG, 16, w, mu_ref=50.0, samples=10_000, seed=0)
+        assert w.interval(16, 49.5) == (0.0, 1600.0)
+        assert exact_dp(DG, 16, (0.0, 1600.0)) == pytest.approx(1.0, abs=1e-12)
+        est = estimate_naive(DG, 16, w, mu_ref=49.5, samples=10_000, seed=0)
         assert est.prob == 1.0
 
     def test_matches_exact_dp(self):

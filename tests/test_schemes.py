@@ -10,10 +10,7 @@ from bigjumps import (
     TruncatedPareto,
     lln_deviation,
     load_scheme_config,
-    mean_mu_n,
-    sample_batch_sums,
-    sample_sum,
-    sample_w,
+    sample_sums,
     save_scheme_config,
 )
 
@@ -40,11 +37,6 @@ class TestTruncatedPareto:
         assert TP.inverse_cdf(1000, 1.0) == pytest.approx(1000.0, rel=1e-9)
         rng = np.random.default_rng(0)
         assert TP.sample(10, rng, size=100_000).max() <= 10.0
-
-    def test_reproducibility_bit_identical(self):
-        a = sample_batch_sums(TP, 64, 500, seed=42, workers=3)
-        b = sample_batch_sums(TP, 64, 500, seed=42, workers=3)
-        assert np.array_equal(a.values, b.values)
 
     def test_h_formula(self):
         assert TP.h(0.5) == pytest.approx(1.5 * 0.5 ** -2.5, rel=1e-12)
@@ -182,15 +174,15 @@ class TestDiscreteGrid:
     def test_point_mass_at_zero(self):
         dg = DiscreteGrid(pmf=(1.0,))
         rng = np.random.default_rng(0)
-        assert sample_w(dg, 17, rng) == 0.0
-        assert sample_sum(dg, 17, rng) == 0.0
+        assert dg.sample(17, rng) == 0.0
+        assert sample_sums(dg, 17, 1, rng)[0] == 0.0
 
     def test_deterministic_sum_at_half_grid(self):
         # point mass at grid value n/2: S_n = n^2 / 2
         dg = DiscreteGrid(pmf=(0.0, 1.0, 0.0))
         rng = np.random.default_rng(0)
         n = 12
-        assert sample_sum(dg, n, rng) == pytest.approx(n * n / 2)
+        assert sample_sums(dg, n, 1, rng)[0] == pytest.approx(n * n / 2)
 
     def test_two_step_sum_probability(self):
         # support {0, 1, 2} at n=2, pmf (1/2, 1/4, 1/4); enumerate the 9 outcomes
@@ -207,7 +199,7 @@ class TestDiscreteGrid:
 
     def test_mean(self):
         dg = DiscreteGrid(pmf=(0.5, 0.25, 0.25))
-        val, se = mean_mu_n(dg, 2)
+        val, se = dg.mu_n(2)
         assert se == 0.0
         assert val == pytest.approx(0.75)
 
@@ -269,20 +261,6 @@ class TestWindowAssumptionTrend:
 
 
 class TestBatchesAndConfig:
-    def test_batch_csv_roundtrip(self, tmp_path):
-        batch = sample_batch_sums(TP, 32, 50, seed=9)
-        path = tmp_path / "batch.csv"
-        batch.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("# {")
-        assert lines[1] == "replica,value"
-        assert len(lines) == 52
-
-    def test_worker_split_determinism(self):
-        one = sample_batch_sums(TP, 16, 1000, seed=5, workers=4)
-        two = sample_batch_sums(TP, 16, 1000, seed=5, workers=4)
-        assert np.array_equal(one.values, two.values)
-
     def test_config_roundtrip(self, tmp_path):
         for spec in (TP, SmoothCutoff(2.0, 1.2), LatticeBall(2, 3.0), DiscreteGrid(pmf=(0.5, 0.25, 0.25))):
             path = tmp_path / "scheme.cfg"
@@ -296,4 +274,7 @@ class TestBatchesAndConfig:
         assert load_scheme_config(path) == TP
         path.write_text("shape = warped\n")
         with pytest.raises(ValueError):
+            load_scheme_config(path)
+        path.write_text("shape = lattice_ball\nd = 2\n")
+        with pytest.raises(ValueError, match="missing beta"):
             load_scheme_config(path)

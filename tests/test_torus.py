@@ -204,6 +204,20 @@ class TestGeometry:
         t2 = GeometryTable.build(3)
         assert np.array_equal(t1.g, t2.g)
 
+    def test_truncated_geometry_cache_is_rebuilt(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(tmp_path))
+        from bigjumps.torus import GeometryTable
+
+        fresh = GeometryTable.build(3)
+        path = tmp_path / "geometry_d3_4096.csv"
+        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2000]))
+        loaded = GeometryTable.build(3)
+        assert np.array_equal(loaded.r, fresh.r)
+        assert np.array_equal(loaded.g, fresh.g)
+        assert loaded(0.9) == fresh(0.9)
+        assert len(path.read_text().splitlines()) == 4097  # the cache is rewritten whole
+        assert [f.name for f in tmp_path.iterdir()] == [path.name]  # no temp file left behind
+
 
 class TestLatticeShapeDensity:
     def test_d1_closed_form(self):
