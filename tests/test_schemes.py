@@ -12,6 +12,7 @@ from bigjumps import (
     load_scheme_config,
     sample_sums,
     save_scheme_config,
+    schemes,
 )
 
 
@@ -37,6 +38,12 @@ class TestTruncatedPareto:
         assert TP.inverse_cdf(1000, 1.0) == pytest.approx(1000.0, rel=1e-9)
         rng = np.random.default_rng(0)
         assert TP.sample(10, rng, size=100_000).max() <= 10.0
+
+    def test_reproducibility_bit_identical(self):
+        # 5000 rows of 64 draws span several row blocks
+        a = sample_sums(TP, 64, 5000, np.random.default_rng(42))
+        b = sample_sums(TP, 64, 5000, np.random.default_rng(42))
+        assert np.array_equal(a, b)
 
     def test_h_formula(self):
         assert TP.h(0.5) == pytest.approx(1.5 * 0.5 ** -2.5, rel=1e-12)
@@ -261,6 +268,15 @@ class TestWindowAssumptionTrend:
 
 
 class TestBatchesAndConfig:
+    def test_worker_split_determinism(self, monkeypatch):
+        # how the rows are split into blocks must not change the stream
+        specs = (TP, DiscreteGrid(pmf=(0.5, 0.25, 0.25)))
+        whole = [sample_sums(spec, 16, 1000, np.random.default_rng(5)) for spec in specs]
+        monkeypatch.setattr(schemes, "_BLOCK", 48)
+        split = [sample_sums(spec, 16, 1000, np.random.default_rng(5)) for spec in specs]
+        for one, two in zip(whole, split):
+            assert np.array_equal(one, two)
+
     def test_config_roundtrip(self, tmp_path):
         for spec in (TP, SmoothCutoff(2.0, 1.2), LatticeBall(2, 3.0), DiscreteGrid(pmf=(0.5, 0.25, 0.25))):
             path = tmp_path / "scheme.cfg"
