@@ -547,8 +547,9 @@ def ratio_sweep(
     DiscreteGrid schemes use the exact convolution oracle; otherwise the
     naive hit-counting estimator, plus optionally the structured estimator.
     `alpha` overrides the scheme's tail index in the prediction (needed for
-    DiscreteGrid schemes, which have none).  Per-n failures are recorded as
-    rows with an `error` field and the sweep continues.
+    DiscreteGrid schemes, which have none).  A per-n domain error
+    (`ValueError`, e.g. the exact-DP cell cap) is recorded as a row with an
+    `error` field and the sweep continues; any other exception propagates.
     """
     if alpha is None:
         alpha = spec.alpha
@@ -579,6 +580,6 @@ def ratio_sweep(
                 row["structured"] = st.prob
                 row["structured_ratio"] = st.prob / rhs if rhs > 0 else math.nan
             rows.append(row)
-        except Exception as exc:  # per-n failures recorded, sweep continues
+        except ValueError as exc:  # per-n domain errors recorded, sweep continues
             rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
     return rows

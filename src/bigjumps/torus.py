@@ -357,21 +357,24 @@ def g_prime(d: int, r):
     return np.where((r > 0.0) & (r < 1.0), _table(d).derivative(r), 0.0)
 
 
-def g_inverse(d: int, a) -> float:
-    """Monotone bisection solve of g(r) = a on (0, 1), to 1e-10."""
-    a = float(a)
-    if not 0.0 < a < 1.0:
+def g_inverse(d: int, a):
+    """Monotone bisection solve of g(r) = a on (0, 1), elementwise, to 1e-12; a scalar a gives a float.
+
+    Every interval is 2^-j wide after j halvings, so all elements stop together.
+    """
+    scalar = np.ndim(a) == 0
+    a = np.asarray(a, dtype=float)
+    if not np.all((a > 0.0) & (a < 1.0)):
         raise ValueError("g_inverse is defined on (0, 1)")
-    lo, hi = 0.0, 1.0
+    lo, hi = np.zeros_like(a), np.ones_like(a)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if float(g_eval(d, mid)) < a:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
+        below = g_eval(d, mid) < a
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        if np.all(hi - lo < 1e-12):
             break
-    return 0.5 * (lo + hi)
+    out = 0.5 * (lo + hi)
+    return float(out) if scalar else out
 
 
 def lattice_tail_constant(d: int, beta: float) -> float:
@@ -395,7 +398,7 @@ def h_lattice(d: int, beta: float, x):
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("h_lattice is defined on the open interval (0, 1)")
     const = lattice_tail_constant(d, beta)
-    ginv = np.array([g_inverse(d, xi) for xi in x])
+    ginv = g_inverse(d, x)
     gp = np.maximum(np.asarray(g_prime(d, ginv), dtype=float), 1e-300)
     out = const * beta * ginv ** (-beta - 1.0) / gp
     return float(out[0]) if scalar else out

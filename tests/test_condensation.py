@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bigjumps import (
+    SmoothCutoff,
     TruncatedPareto,
     condensation_constant,
     jump_marginal_mass,
@@ -12,7 +13,7 @@ from bigjumps import (
     sample_limit_jumps,
     uniform_h,
 )
-from bigjumps.condensation import _ts_nodes
+from bigjumps.condensation import _BLOCK, _inner_k3, _ts_nodes
 
 TP = TruncatedPareto(c=1.5, alpha=1.5)
 
@@ -75,6 +76,17 @@ class TestCondensationConstant:
         assert res.diverged
         assert math.isinf(res.value)
         assert "divergent" in res.note
+        # the endpoint probe flags it before any refinement runs
+        assert "endpoint probe" in res.note
+        assert "refinements grew" not in res.note
+
+    def test_max_level_note(self):
+        # the log-corrected cut-off density converges too slowly for tol 1e-10
+        res = condensation_constant(SmoothCutoff(c=1.5, alpha=1.5).h, rho=1.5, k=2, tol=1e-10, method="grid")
+        assert not res.diverged
+        assert res.abs_error_bound > 1e-10
+        assert "max level 12" in res.note
+        assert condensation_constant(TP.h, rho=1.5, k=2, tol=1e-10, method="grid").note == ""
 
     def test_raising_h_propagates(self):
         def h_bug(x):
@@ -105,11 +117,14 @@ class TestJumpDensity:
             b = limit_jump_density(TP.h, 1.5, 2, [1.5 - x])
             assert a == pytest.approx(b, rel=1e-12)
 
-    def test_normalization(self):
-        tol = 1e-8
-        k = condensation_constant(TP.h, 1.5, 2, tol=tol, method="grid")
-        mass = jump_marginal_mass(TP.h, 1.5, 2, 0.5, 1.0)
-        assert abs(mass / k.value - 1.0) <= 5 * max(tol, k.abs_error_bound)
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_normalization(self, k):
+        # the bin masses of the first jump sum to K
+        tol, rho = 1e-8, k - 0.5
+        kr = condensation_constant(TP.h, rho, k, tol=tol, method="grid")
+        edges = np.linspace(rho - (k - 1), 1.0, 5)
+        mass = sum(jump_marginal_mass(TP.h, rho, k, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+        assert abs(mass / kr.value - 1.0) <= 5 * max(tol, kr.abs_error_bound)
 
     def test_marginal_mass_k3(self):
         # h = 1, rho = 2.5: total marginal mass equals the slab area
@@ -119,6 +134,59 @@ class TestJumpDensity:
     def test_batch_shape(self):
         vals = limit_jump_density(uniform_h, 1.5, 2, np.array([[0.7], [0.3], [0.9]]))
         assert vals.tolist() == [1.0, 0.0, 1.0]
+
+
+class TestSlabIntegral:
+    @staticmethod
+    def spy(h):
+        """h wrapped to assert 1-D arguments and record the size of every call."""
+        sizes = []
+
+        def wrapped(x):
+            assert np.ndim(x) == 1
+            sizes.append(len(x))
+            return h(x)
+
+        return wrapped, sizes
+
+    @pytest.mark.parametrize("rho, k", [(1.5, 2), (2.5, 3)])
+    def test_grid_calls_h_on_1d_blocks(self, rho, k):
+        h, sizes = self.spy(TP.h)
+        res = condensation_constant(h, rho, k, tol=1e-10, method="grid")
+        assert not res.diverged and res.note == ""
+        assert sizes and max(sizes) <= _BLOCK
+
+    def test_marginal_mass_calls_h_on_1d_blocks(self):
+        h, sizes = self.spy(TP.h)
+        assert jump_marginal_mass(h, 2.5, 3, 0.6, 0.8) > 0.0
+        assert sizes and max(sizes) <= _BLOCK
+
+    @pytest.mark.parametrize("level", [3, 6])
+    def test_inner_k3_matches_row_loop(self, level):
+        # reference: one scalar-limit tanh-sinh rule per outer node
+        rho, h = 2.5, SmoothCutoff(c=1.5, alpha=1.5).h
+        x = _ts_nodes(level, rho - 2.0, 1.0)[0]
+        want = np.zeros_like(x)
+        for i, xi in enumerate(x):
+            lo, hi = max(0.0, rho - 1.0 - xi), min(1.0, rho - xi)
+            if hi - lo > 2e-12:
+                y, w = _ts_nodes(level, lo, hi)
+                want[i] = np.dot(h(y) * h(rho - xi - y), w)
+        assert np.array_equal(_inner_k3(h, rho, x, level), want)
+
+    def test_k3_h_calls(self):
+        # the inner integral runs for all outer nodes of a level in a few calls
+        h, sizes = self.spy(TP.h)
+        condensation_constant(h, 2.5, 3, tol=1e-10, method="grid")
+        assert len(sizes) < 60
+
+    def test_k3_does_not_depend_on_block(self, monkeypatch):
+        sc = SmoothCutoff(c=1.5, alpha=1.5)
+        want = condensation_constant(sc.h, 2.5, 3, tol=1e-8, method="grid")
+        mass = jump_marginal_mass(TP.h, 2.5, 3, 0.6, 0.8)
+        monkeypatch.setattr("bigjumps.condensation._BLOCK", 1 << 12)  # one row per call at level 9
+        assert condensation_constant(sc.h, 2.5, 3, tol=1e-8, method="grid") == want
+        assert jump_marginal_mass(TP.h, 2.5, 3, 0.6, 0.8) == mass
 
 
 class TestLimitSampler:

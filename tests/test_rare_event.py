@@ -343,6 +343,17 @@ class TestRatioSweep:
         assert "error" in rows[1]
         assert rows[0]["ratio"] > 0
 
+    def test_programming_errors_propagate(self):
+        # only domain errors (ValueError) become error rows; a bug in a scheme raises
+        class BuggyPareto(TruncatedPareto):
+            def mu_n(self, n, samples=0, rng=None):
+                raise KeyError("bug")
+
+        w = RhoWindow(0.5, ("fixed", 0.1))
+        kr = condensation_constant(TP.h, 0.5, 1)
+        with pytest.raises(KeyError):
+            ratio_sweep(BuggyPareto(c=1.5, alpha=1.5), w, [64], 1_000, kr)
+
 
 class TestExchangeability:
     def test_coordinate_shuffle_layer_is_distribution_neutral(self):

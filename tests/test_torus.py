@@ -21,6 +21,20 @@ from bigjumps import (
 from bigjumps.torus import sorted_offset_norms2
 
 
+def scalar_g_inverse(d, a):
+    """Reference: the point-by-point bisection, stopped once the interval is under 1e-12."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if float(g_eval(d, mid)) < a:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return 0.5 * (lo + hi)
+
+
 class TestDistance:
     def test_zero_at_identity(self):
         assert torus_distance(2, 11, (3, -4), (3, -4)) == 0.0
@@ -180,12 +194,23 @@ class TestGeometry:
             for r in (0.2, 0.5, 0.8):
                 a = float(g_eval(d, r))
                 assert abs(g_inverse(d, a) - r) < tol
+            # an array solves every element exactly as a scalar bisection does
+            a = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 97), [0.5, 0.999999]])
+            got = g_inverse(d, a)
+            assert got.shape == a.shape
+            assert np.array_equal(got, [scalar_g_inverse(d, float(ai)) for ai in a])
+            assert g_inverse(d, 0.5) == scalar_g_inverse(d, 0.5)
+            assert isinstance(g_inverse(d, 0.5), float)
 
     def test_g_inverse_domain(self):
         with pytest.raises(ValueError):
             g_inverse(2, 0.0)
         with pytest.raises(ValueError):
             g_inverse(2, 1.0)
+        with pytest.raises(ValueError):
+            g_inverse(2, np.array([0.3, 0.0, 0.6]))
+        with pytest.raises(ValueError):
+            g_inverse(2, np.array([0.3, np.nan, 0.6]))
 
     def test_g_prime_positive_and_consistent(self):
         for d in (1, 2, 3):
