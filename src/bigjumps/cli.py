@@ -57,10 +57,6 @@ def _params(args) -> dict:
     return out
 
 
-def _load_scheme(args) -> schemes.Scheme:
-    return schemes.load_scheme_config(args.scheme)
-
-
 def _emit(obj, args, filename: str | None = None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)
     print(text)
@@ -93,7 +89,7 @@ def _resolve_h(args, spec=None):
     if getattr(args, "h_table", None):
         return condensation.load_tabulated_h(args.h_table)
     if spec is None and getattr(args, "scheme", None):
-        spec = _load_scheme(args)
+        spec = schemes.load_scheme_config(args.scheme)
     if spec is None:
         raise ValueError("provide --scheme, --h uniform, or --h-table")
     return spec.h
@@ -119,14 +115,14 @@ def _cmd_krho(args):
 
 
 def _cmd_tail_check(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     rows = []
     for i, n in enumerate(args.n_list):
         rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
         w = spec.sample(n, rng, size=args.samples)
         p = float(np.count_nonzero((w >= args.a * n) & (w < args.b * n))) / args.samples
         se = math.sqrt(max(p * (1 - p), 0.0) / args.samples)
-        x, wts = np.linspace(args.a + 1e-9, args.b - 1e-9, 20001), None
+        x = np.linspace(args.a + 1e-9, args.b - 1e-9, 20001)
         hint = float(np.trapezoid(spec.h(x), x)) * n ** (-spec.alpha)
         rows.append(
             {"n": n, "empirical": p, "std_error": se, "expected": hint, "ratio": p / hint if hint > 0 else math.nan}
@@ -136,7 +132,7 @@ def _cmd_tail_check(args):
 
 
 def _cmd_lln(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     rows = []
     for i, n in enumerate(args.n_list):
         est = schemes.lln_deviation(spec, n, zeta=args.zeta, samples=args.samples, seed=args.seed + i)
@@ -153,7 +149,7 @@ def _window(args) -> rare_event.RhoWindow:
 
 
 def _cmd_estimate(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
     mu_n, _ = spec.mu_n(args.n)
     if args.method == "naive":
@@ -178,7 +174,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_ldp_sweep(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
     h = spec.h if not isinstance(spec, schemes.DiscreteGrid) else condensation.uniform_h
     krho = condensation.condensation_constant(h, rho=window.rho, k=window.k, tol=args.tol)
@@ -193,7 +189,7 @@ def _cmd_ldp_sweep(args):
 
 
 def _cmd_condition(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
     cond = rare_event.conditional_profiles(
         spec, args.n, window, eps=args.eps, target_hits=args.hits, max_samples=args.max_samples, seed=args.seed
@@ -221,7 +217,7 @@ def _cmd_condition(args):
 
 
 def _cmd_gof(args):
-    spec = _load_scheme(args)
+    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
     krho = condensation.condensation_constant(spec.h, rho=window.rho, k=window.k, tol=1e-8)
     cond = rare_event.conditional_profiles(
@@ -437,9 +433,7 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
-        if getattr(args, "command", None) == "estimate" and args.width is None and args.power_width is None:
-            raise ValueError("give --width or --power-width explicitly")
-        if getattr(args, "command", None) == "ldp-sweep" and args.width is None and args.power_width is None:
+        if args.command in ("estimate", "ldp-sweep") and args.width is None and args.power_width is None:
             raise ValueError("give --width or --power-width explicitly")
         args.func(args)
         _write_manifest(args, getattr(args, "_name", args.command), started, _params(args))

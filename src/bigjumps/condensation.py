@@ -23,6 +23,7 @@ the test suite and never merged.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -310,16 +311,19 @@ def jump_marginal_mass(h: Callable, rho: float, k: int, lo: float, hi: float, to
     For k = 2 this is int_lo^hi h(x) h(rho - x) dx; for k = 3 the inner
     coordinate is integrated out with exact limits.  The refinement is the
     grid route of condensation_constant.  Used to bin reference masses for
-    goodness-of-fit tests.
+    goodness-of-fit tests.  A mass whose refinement stops short of tol comes
+    with a RuntimeWarning carrying the refinement's note.
     """
     if k not in (2, 3):
         raise NotImplementedError("marginal masses implemented for k in {2, 3}")
     lo, hi = max(lo, rho - (k - 1), 0.0), min(hi, rho, 1.0)
     if hi <= lo:
         return 0.0
-    value, _, _ = _slab_integral(h, rho, k, lo, hi, tol)
+    value, _, note = _slab_integral(h, rho, k, lo, hi, tol)
     if math.isinf(value):
         raise ValueError("marginal mass integral diverged")
+    if note:
+        warnings.warn(f"marginal mass on [{lo}, {hi}]: {note}", RuntimeWarning, stacklevel=2)
     return value
 
 

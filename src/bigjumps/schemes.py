@@ -36,6 +36,8 @@ from pathlib import Path
 
 import numpy as np
 
+from . import torus
+
 __all__ = [
     "Scheme",
     "TruncatedPareto",
@@ -95,6 +97,8 @@ class Scheme:
     Subclasses provide the row-level law of W(n) through `sample`,
     `tail` (exact upper-tail probabilities), `sample_above` (conditional
     sampling used for importance boosting) and `h` (shape density).
+    `tail` and `h` take arrays elementwise, and a scalar argument gives a
+    NumPy scalar (a NumPy float64 is a `float`).
     """
 
     alpha: float
@@ -103,8 +107,8 @@ class Scheme:
     def sample(self, n: int, rng: np.random.Generator, size: int | None = None):
         raise NotImplementedError
 
-    def tail(self, n: int, y: float) -> float:
-        """Exact P(W(n) > y)."""
+    def tail(self, n: int, y):
+        """Exact P(W(n) > y), elementwise in y."""
         raise NotImplementedError
 
     def sample_above(self, n: int, threshold: float, rng: np.random.Generator, size: int):
@@ -115,8 +119,14 @@ class Scheme:
         raise NotImplementedError
 
     def mu_n(self, n: int, samples: int = 200_000, rng: np.random.Generator | None = None):
-        """Mean of W(n): (value, std_error); std_error 0.0 when analytic."""
-        raise NotImplementedError
+        """Mean of W(n): (value, std_error); std_error 0.0 when analytic.
+
+        The default is the Monte Carlo mean of `samples` draws from `rng`
+        (default_rng(0) when None).
+        """
+        rng = np.random.default_rng(0) if rng is None else rng
+        w = np.asarray(self.sample(n, rng, size=samples), dtype=float)
+        return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(samples))
 
     @property
     def mu_limit(self) -> float | None:
@@ -175,19 +185,11 @@ class TruncatedPareto(Scheme):
         u = rng.random(size)
         return self.inverse_cdf(n, u)
 
-    def cdf(self, n: int, y):
+    def tail(self, n, y):
         y = np.asarray(y, dtype=float)
         z = self._norm(n)
-        inner = 1.0 - (self.c / self.alpha) * np.maximum(y, self.x0) ** (-self.alpha)
-        return np.clip(np.where(y < self.x0, 0.0, inner / z), 0.0, 1.0)
-
-    def tail(self, n, y):
-        if y >= n:
-            return 0.0
-        if y <= self.x0:
-            return 1.0
-        z = self._norm(n)
-        return (self.c / self.alpha) * (y ** -self.alpha - float(n) ** -self.alpha) / z
+        inner = (self.c / self.alpha) * (np.power(np.maximum(y, self.x0), -self.alpha) - float(n) ** -self.alpha) / z
+        return np.where(y >= n, 0.0, np.where(y <= self.x0, 1.0, inner))[()]
 
     def sample_above(self, n, threshold, rng, size):
         t = max(threshold, self.x0)
@@ -247,14 +249,10 @@ class SmoothCutoff(Scheme):
         return float(n) * (1.0 - np.exp(-w / float(n)))
 
     def tail(self, n, y):
-        if y >= n:
-            return 0.0
-        if y <= 0.0:
-            return 1.0
-        m = -float(n) * math.log1p(-y / float(n))
-        if m <= self.x0:
-            return 1.0
-        return self.c * m ** (-self.alpha)
+        # m = phi^(-1)(y) for y clipped to [0, n]; y >= n maps to m = inf, whose tail is 0
+        with np.errstate(divide="ignore"):
+            m = -float(n) * np.log1p(-np.clip(np.asarray(y, dtype=float), 0.0, n) / float(n))
+        return np.where(m <= self.x0, 1.0, self.c * np.power(np.maximum(m, self.x0), -self.alpha))[()]
 
     def sample_above(self, n, threshold, rng, size):
         m = max(-float(n) * math.log1p(-threshold / float(n)), self.x0)
@@ -268,11 +266,6 @@ class SmoothCutoff(Scheme):
             raise ValueError("h is defined on the open interval (0, 1)")
         ell = -np.log1p(-x)
         return self.c * self.alpha / (1.0 - x) * ell ** (-self.alpha - 1.0)
-
-    def mu_n(self, n, samples=200_000, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
-        w = self.sample(n, rng, size=samples)
-        return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(samples))
 
     @property
     def mu_limit(self):
@@ -314,47 +307,34 @@ class LatticeBall(Scheme):
         raise ValueError(f"n={n} is not (2N+1)^{self.d} for an integer N >= 1")
 
     def _geometry(self, n: int):
-        from . import torus
-
         return torus.sorted_offset_norms2(self.d, self.level_to_N(n))
 
     def sample(self, n, rng, size=None):
         self.check_level(n)
-        from . import torus
-
         cfg = torus.TorusConfig(d=self.d, N=self.level_to_N(n), beta=self.beta, seed=0)
         return torus.out_degree_sample(cfg, rng, size=size)
 
     def tail(self, n, y):
+        # W > y  <=>  W >= k+1 for k = floor(y)  <=>  R^2 > norms2[k], of probability
+        # norms2[k]^(-beta/2); the smallest norm is 1, so k < 0 clips to a tail of 1
         norms2 = self._geometry(n)
-        k = int(math.floor(y))  # count > y  <=>  count >= k+1
-        if k < 0:
-            return 1.0
-        if k >= len(norms2):
-            return 0.0
-        r2 = float(norms2[k])
-        return min(1.0, r2 ** (-self.beta / 2.0))
+        k = np.floor(np.asarray(y, dtype=float))
+        if np.isnan(k).any():
+            raise ValueError("tail is undefined at y = NaN")
+        r2 = norms2[np.clip(k, 0, len(norms2) - 1).astype(np.int64)]
+        return np.where(k >= len(norms2), 0.0, np.power(r2, -self.beta / 2.0))[()]
 
     def sample_above(self, n, threshold, rng, size):
         norms2 = self._geometry(n)
         k = int(math.floor(threshold))
         if k >= len(norms2):
             raise ValueError("threshold at or above the maximal degree")
-        rstar = math.sqrt(float(norms2[k])) if k >= 0 else 1.0
-        rstar = max(rstar, 1.0)
+        rstar = math.sqrt(float(norms2[max(k, 0)]))
         u = rng.random(size)
-        r = rstar * (1.0 - u) ** (-1.0 / self.beta)
-        return np.searchsorted(norms2, r * r, side="left").astype(np.int64)
+        return torus.ball_point_count(self.d, self.level_to_N(n), rstar * (1.0 - u) ** (-1.0 / self.beta))
 
     def h(self, x):
-        from . import torus
-
         return torus.h_lattice(self.d, self.beta, x)
-
-    def mu_n(self, n, samples=200_000, rng=None):
-        rng = np.random.default_rng(0) if rng is None else rng
-        w = self.sample(n, rng, size=samples).astype(float)
-        return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(samples))
 
     def spec_dict(self):
         return {"shape": "lattice_ball", "d": self.d, "beta": self.beta}
@@ -409,9 +389,10 @@ class DiscreteGrid(Scheme):
         return np.concatenate([np.empty(0, dtype=np.int64), *(counts @ index for counts in blocks)])
 
     def tail(self, n, y):
-        step = self.grid_step(n)
-        vals = np.arange(self.m + 1) * step
-        return float(np.sum(np.asarray(self.pmf)[vals > y]))
+        # the values are increasing, so vals > y is the suffix from searchsorted(vals, y, "right")
+        vals = np.arange(self.m + 1) * self.grid_step(n)
+        upper = np.append(np.cumsum(self.pmf[::-1])[::-1], 0.0)  # upper[i] = P(index >= i)
+        return upper[np.searchsorted(vals, y, side="right")][()]
 
     def sample_above(self, n, threshold, rng, size):
         step = self.grid_step(n)

@@ -102,40 +102,49 @@ def torus_distance(d: int, L: int, v, w) -> float:
     return float(np.sqrt(np.sum(delta * delta)))
 
 
-@lru_cache(maxsize=16)
-def sorted_offset_norms2(d: int, N: int) -> np.ndarray:
-    """Sorted squared torus norms of the n-1 nonzero offsets in [-N, N]^d.
+def _lattice_points(d: int, N: int) -> np.ndarray:
+    """The n points of [-N, N]^d as rows, in flat vertex-index order."""
+    axis = np.arange(-N, N + 1, dtype=np.int64)
+    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
 
-    One array per (d, N); every ball count is then a binary search.
+
+@lru_cache(maxsize=16)
+def _offset_table(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n-1 nonzero offsets of [-N, N]^d sorted by squared torus norm, and those norms.
+
+    Every open ball is a union of whole equal-norm groups, so the order
+    within a group does not matter.  Both arrays are read-only.
     """
     n = (2 * N + 1) ** d
     if n > _MAX_VERTICES:
         raise ValueError(f"offset table for n={n} exceeds the vertex cap")
-    axis = np.arange(-N, N + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    norms2 = sum(g.astype(np.int64) ** 2 for g in grids).ravel()
-    norms2 = np.sort(norms2)
-    return norms2[1:].astype(np.float64)  # drop the zero offset (the centre)
+    points = _lattice_points(d, N)
+    norms2 = np.einsum("ij,ij->i", points, points)
+    order = np.argsort(norms2)[1:]  # drop the zero offset (the centre)
+    offsets, norms2 = np.take(points, order, axis=0), norms2[order].astype(np.float64)
+    offsets.flags.writeable = norms2.flags.writeable = False
+    return offsets, norms2
 
 
-def ball_point_count(d: int, N: int, R: float) -> int:
-    """Number of lattice points w != 0 with torus distance D(0, w) < R (open ball).
+def sorted_offset_norms2(d: int, N: int) -> np.ndarray:
+    """Sorted squared torus norms of the n-1 nonzero offsets in [-N, N]^d.
 
-    Small radii are counted by enumerating the offset box [-floor(R), floor(R)]^d
-    directly; otherwise the cached sorted-norm table is queried.
+    One cached array per (d, N); every ball count is then a binary search.
     """
-    if R <= 0.0:
+    return _offset_table(d, N)[1]
+
+
+def ball_point_count(d: int, N: int, R):
+    """Number of lattice points w != 0 with torus distance D(0, w) < R (open ball), elementwise.
+
+    The one open-ball rule: R^2 binary-searched over the sorted offset norms,
+    strict `<`.  Every radius must be > 0; an infinite one covers the torus.
+    A scalar R gives a NumPy integer.
+    """
+    R = np.asarray(R, dtype=float)
+    if not np.all(R > 0.0):
         raise ValueError("radius must be positive")
-    r = int(math.floor(R))
-    if R > N * math.sqrt(d):
-        return (2 * N + 1) ** d - 1
-    if r <= N and (2 * r + 1) ** d <= 4096:
-        axis = np.arange(-min(r, N), min(r, N) + 1, dtype=np.int64)
-        grids = np.meshgrid(*([axis] * d), indexing="ij")
-        norms2 = sum(g ** 2 for g in grids).ravel()
-        return int(np.count_nonzero(norms2 < R * R)) - 1  # excludes the centre
-    norms2 = sorted_offset_norms2(d, N)
-    return int(np.searchsorted(norms2, R * R, side="left"))
+    return np.searchsorted(sorted_offset_norms2(d, N), R * R, side="left")[()]
 
 
 def _sample_radii(beta: float, rng: np.random.Generator, size):
@@ -148,12 +157,7 @@ def out_degree_sample(config: TorusConfig, rng: np.random.Generator, size: int |
 
     By vertex-transitivity this is the out-degree law of every vertex.
     """
-    norms2 = sorted_offset_norms2(config.d, config.N)
-    r = _sample_radii(config.beta, rng, size)
-    counts = np.searchsorted(norms2, np.square(r), side="left")
-    if size is None:
-        return int(counts)
-    return counts.astype(np.int64)
+    return ball_point_count(config.d, config.N, _sample_radii(config.beta, rng, size))
 
 
 def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None = None) -> DegreeSummary:
@@ -165,27 +169,19 @@ def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None =
     (used for planted-condensation demonstrations).
     """
     d, N, L, n = config.d, config.N, config.L, config.n
-    norms2 = sorted_offset_norms2(d, N)
+    offsets = _offset_table(d, N)[0]
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     radii = _sample_radii(config.beta, rng, n)
     if planted_radii:
         for idx, r in planted_radii.items():
             radii[idx] = r
-    out_deg = np.searchsorted(norms2, np.square(radii), side="left").astype(np.int64)
+    out_deg = ball_point_count(d, N, radii)
 
     visits = int(out_deg.sum())
     if visits > _MAX_BALL_VISITS:
         raise MemoryError(f"graph build would visit {visits} ball points (cap {_MAX_BALL_VISITS})")
 
-    # offsets sorted by norm, so vertex v's ball = the first out_deg[v] rows
-    axis = np.arange(-N, N + 1, dtype=np.int64)
-    grids = np.meshgrid(*([axis] * d), indexing="ij")
-    offsets = np.stack([g.ravel() for g in grids], axis=1)
-    all_norms2 = np.sum(offsets * offsets, axis=1)
-    order = np.argsort(all_norms2, kind="stable")
-    offsets = offsets[order][1:]  # drop the centre
-
-    coords = np.stack([g.ravel() for g in grids], axis=1)  # vertex index -> coords in [-N, N]^d
+    coords = _lattice_points(d, N)  # vertex index -> coords in [-N, N]^d
     weights = L ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
     in_deg = np.zeros(n, dtype=np.int64)
@@ -224,29 +220,18 @@ def condensation_stats(summary: DegreeSummary, k: int, eps: float) -> dict:
 
 
 def _g_d1(r):
-    return np.minimum(np.asarray(r, dtype=float), 1.0)
+    return np.minimum(r, 1.0)
 
 
 def _disk_square_area(a):
     """Area of a disk of radius a centred in the unit square [-1/2, 1/2]^2."""
-    scalar = np.isscalar(a) or np.ndim(a) == 0
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    out = np.pi * a * a
-    over = a > 0.5
-    if np.any(over):
-        aa = a[over]
-        # remove the four circular segments beyond each side (corners unreached for a <= sqrt(2)/2)
-        seg = aa * aa * np.arccos(np.minimum(0.5 / aa, 1.0)) - 0.5 * np.sqrt(np.maximum(aa * aa - 0.25, 0.0))
-        out[over] = np.pi * aa * aa - 4.0 * seg
-    out = np.minimum(out, 1.0)
-    return float(out[0]) if scalar else out
+    # beyond a = 1/2 remove the four circular segments past each side (corners unreached for a <= sqrt(2)/2)
+    seg = a * a * np.arccos(np.minimum(0.5 / np.maximum(a, 0.5), 1.0)) - 0.5 * np.sqrt(np.maximum(a * a - 0.25, 0.0))
+    return np.minimum(np.where(a > 0.5, np.pi * a * a - 4.0 * seg, np.pi * a * a), 1.0)
 
 
 def _g_d2(r):
-    scalar = np.isscalar(r) or np.ndim(r) == 0
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    out = np.where(r >= 1.0, 1.0, _disk_square_area(r / math.sqrt(2.0)))
-    return float(out[0]) if scalar else out
+    return np.where(r >= 1.0, 1.0, _disk_square_area(r / math.sqrt(2.0)))
 
 
 def _cube_ball_volume(d: int, a: float) -> float:
@@ -270,6 +255,8 @@ def _cube_ball_volume(d: int, a: float) -> float:
 
 
 _TABLE_GRID = 4096
+# bump when _cube_ball_volume or the CSV layout changes, so an older table is never loaded
+_TABLE_FORMAT = 1
 _cache_env = "BIGJUMPS_OUT_DIR"
 
 
@@ -296,7 +283,7 @@ class GeometryTable:
     @staticmethod
     def _cache_path(d: int) -> Path:
         root = Path(os.environ.get(_cache_env, Path.home() / ".cache" / "bigjumps"))
-        return root / f"geometry_d{d}_{_TABLE_GRID}.csv"
+        return root / f"geometry_d{d}_{_TABLE_GRID}_v{_TABLE_FORMAT}.csv"
 
     @classmethod
     def build(cls, d: int) -> "GeometryTable":
@@ -335,34 +322,37 @@ def _table(d: int) -> GeometryTable:
 
 
 def g_eval(d: int, r):
-    """g(r) = Vol(B(0, (sqrt(d)/2) r) ∩ unit cube); g(r) = 1 for r >= 1."""
-    scalar = np.isscalar(r) or np.ndim(r) == 0
+    """g(r) = Vol(B(0, (sqrt(d)/2) r) ∩ unit cube); g(r) = 1 for r >= 1.  A scalar r gives a NumPy float64."""
+    r = np.asarray(r, dtype=float)
     if d == 1:
         out = _g_d1(r)
     elif d == 2:
         out = _g_d2(r)
     else:
         out = _table(d)(r)
-    return float(out) if scalar else out
+    return out[()]
 
 
 def g_prime(d: int, r):
+    """g'(r), 0 outside (0, 1).  A scalar r gives a NumPy float64."""
     r = np.asarray(r, dtype=float)
+    inside = (r > 0.0) & (r < 1.0)
     if d == 1:
-        return np.where((r > 0.0) & (r < 1.0), 1.0, 0.0)
-    if d == 2:
+        out = np.where(inside, 1.0, 0.0)
+    elif d == 2:
         a = r / math.sqrt(2.0)
         dA = np.where(a <= 0.5, 2.0 * np.pi * a, 2.0 * np.pi * a - 8.0 * a * np.arccos(np.minimum(0.5 / np.maximum(a, 1e-300), 1.0)))
-        return np.where((r > 0.0) & (r < 1.0), dA / math.sqrt(2.0), 0.0)
-    return np.where((r > 0.0) & (r < 1.0), _table(d).derivative(r), 0.0)
+        out = np.where(inside, dA / math.sqrt(2.0), 0.0)
+    else:
+        out = np.where(inside, _table(d).derivative(r), 0.0)
+    return out[()]
 
 
 def g_inverse(d: int, a):
-    """Monotone bisection solve of g(r) = a on (0, 1), elementwise, to 1e-12; a scalar a gives a float.
+    """Monotone bisection solve of g(r) = a on (0, 1), elementwise, to 1e-12; a scalar a gives a NumPy float64.
 
     Every interval is 2^-j wide after j halvings, so all elements stop together.
     """
-    scalar = np.ndim(a) == 0
     a = np.asarray(a, dtype=float)
     if not np.all((a > 0.0) & (a < 1.0)):
         raise ValueError("g_inverse is defined on (0, 1)")
@@ -373,8 +363,7 @@ def g_inverse(d: int, a):
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
         if np.all(hi - lo < 1e-12):
             break
-    out = 0.5 * (lo + hi)
-    return float(out) if scalar else out
+    return (0.5 * (lo + hi))[()]
 
 
 def lattice_tail_constant(d: int, beta: float) -> float:
@@ -393,15 +382,13 @@ def h_lattice(d: int, beta: float, x):
     h(x) = const(d, beta) * beta * g^(-1)(x)^(-beta-1) * (g^(-1))'(x), the
     derivative of the calibrated upper tail const * g^(-1)(x)^(-beta).
     """
-    scalar = np.isscalar(x)
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(x >= 1.0):
         raise ValueError("h_lattice is defined on the open interval (0, 1)")
     const = lattice_tail_constant(d, beta)
     ginv = g_inverse(d, x)
-    gp = np.maximum(np.asarray(g_prime(d, ginv), dtype=float), 1e-300)
-    out = const * beta * ginv ** (-beta - 1.0) / gp
-    return float(out[0]) if scalar else out
+    gp = np.maximum(g_prime(d, ginv), 1e-300)
+    return (const * beta * np.power(ginv, -beta - 1.0) / gp)[()]
 
 
 def calibrate_h(

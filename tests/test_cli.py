@@ -95,9 +95,21 @@ def test_graph_condense_planted(tmp_path, capsys):
     assert stats["top_k_out_share"] == pytest.approx(80 / 81)
 
 
-def test_estimate_requires_width(tmp_path, pareto_cfg, capsys):
-    code = run(["--outdir", str(tmp_path), "estimate", "--scheme", str(pareto_cfg), "--n", "64", "--rho", "0.5", "--samples", "20000"])
+@pytest.mark.parametrize("radius", ["-5", "0", "nan"])
+def test_graph_gen_rejects_nonpositive_planted_radius(tmp_path, capsys, radius):
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "8", "--beta", "3.0", "--seed", "5"]
+    assert run([*argv, "--plant", f"7:{radius}"]) == 1
+    assert "radius must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "graph.npz").exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["estimate", "--n", "64"], ["ldp-sweep", "--n-list", "16,32"]], ids=["estimate", "ldp-sweep"]
+)
+def test_estimate_requires_width(tmp_path, pareto_cfg, capsys, command):
+    code = run(["--outdir", str(tmp_path), *command, "--scheme", str(pareto_cfg), "--rho", "0.5", "--samples", "20000"])
     assert code == 1
+    assert "--width or --power-width" in capsys.readouterr().err
 
 
 def test_estimate_and_sweep(tmp_path, grid_cfg, capsys):

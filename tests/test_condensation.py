@@ -126,6 +126,19 @@ class TestJumpDensity:
         mass = sum(jump_marginal_mass(TP.h, rho, k, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
         assert abs(mass / kr.value - 1.0) <= 5 * max(tol, kr.abs_error_bound)
 
+    def test_unconverged_marginal_mass_warns(self):
+        # SmoothCutoff's log-corrected edge keeps the bin next to 1/2 short of tol at the finest level
+        with pytest.warns(RuntimeWarning, match="max level 12 reached"):
+            mass = jump_marginal_mass(SmoothCutoff(c=1.5, alpha=1.5).h, 1.5, 2, 0.5, 0.5625)
+        assert mass > 0.0
+
+    def test_converged_marginal_masses_do_not_warn(self, recwarn):
+        # the eight gof bins of TruncatedPareto(1.2, 1.2) at rho = 1.5 all meet tol
+        edges = np.linspace(0.5, 1.0, 9)
+        h = TruncatedPareto(c=1.2, alpha=1.2).h
+        assert all(jump_marginal_mass(h, 1.5, 2, lo, hi) > 0.0 for lo, hi in zip(edges[:-1], edges[1:]))
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
     def test_marginal_mass_k3(self):
         # h = 1, rho = 2.5: total marginal mass equals the slab area
         total = jump_marginal_mass(uniform_h, 2.5, 3, 0.5, 1.0)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bigjumps import (
     DiscreteGrid,
@@ -70,7 +72,7 @@ class TestTruncatedPareto:
         rng = np.random.default_rng(7)
         n = 10_000
         w = np.sort(TP.sample(n, rng, size=1_000_000))
-        cdf = TP.cdf(n, w)
+        cdf = 1.0 - TP.tail(n, w)
         i = np.arange(1, len(w) + 1)
         ks = max(np.max(i / len(w) - cdf), np.max(cdf - (i - 1) / len(w)))
         assert ks < 0.002
@@ -104,6 +106,45 @@ class TestTruncatedPareto:
         emp = np.mean(w >= 0.5 * n)
         se = math.sqrt(expect * (1 - expect) / len(w))
         assert abs(emp - expect) < 4 * se
+
+
+TAIL_SCHEMES = (
+    TP,
+    SmoothCutoff(c=1.5, alpha=1.5),
+    LatticeBall(d=1, beta=1.5),
+    LatticeBall(d=2, beta=3.0),
+    DiscreteGrid(pmf=(0.5, 0.25, 0.125, 0.125)),
+)
+
+
+@st.composite
+def _tail_cases(draw):
+    spec = draw(st.sampled_from(TAIL_SCHEMES))
+    if isinstance(spec, LatticeBall):
+        n = (2 * draw(st.integers(1, 400 if spec.d == 1 else 20)) + 1) ** spec.d
+    else:
+        n = draw(st.integers(2, 10_000))
+    ys = draw(st.lists(st.floats(-2.0 * n, 2.0 * n, allow_nan=False), min_size=1, max_size=40))
+    return spec, n, np.array(ys + [-1.0, 0.0, float(n), n + 0.5])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_tail_cases())
+def test_tail_contract(case):
+    """tail is an array law in [0, 1], nonincreasing, 1 below the support, 0 from n on."""
+    spec, n, y = case
+    t = spec.tail(n, y)
+    assert t.shape == y.shape
+    assert np.all((t >= 0.0) & (t <= 1.0))
+    order = np.argsort(y)
+    assert np.all(np.diff(t[order]) <= 0.0)
+    assert np.all(t[y < 0.0] == 1.0)
+    assert np.all(t[y >= n] == 0.0)
+    scalars = [spec.tail(n, float(v)) for v in y]
+    assert all(isinstance(v, float) for v in scalars)
+    np.testing.assert_allclose(t, scalars, rtol=1e-13, atol=0.0)
+    if not isinstance(spec, DiscreteGrid):
+        assert isinstance(spec.h(np.array(0.5)), float)
 
 
 class TestSmoothCutoff:
@@ -150,6 +191,8 @@ class TestLatticeBall:
         with pytest.raises(ValueError):
             LatticeBall(d=2, beta=3.0).level_to_N(24)
         assert LatticeBall(d=2, beta=3.0).level_to_N(25) == 2
+        with pytest.raises(ValueError, match="NaN"):
+            self.LB.tail(11, np.array([2.0, np.nan]))
 
     def test_beta_constraint(self):
         with pytest.raises(ValueError):

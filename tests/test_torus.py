@@ -18,7 +18,7 @@ from bigjumps import (
     out_degree_sample,
     torus_distance,
 )
-from bigjumps.torus import sorted_offset_norms2
+from bigjumps import torus
 
 
 def scalar_g_inverse(d, a):
@@ -75,15 +75,22 @@ class TestBallCount:
         counts = [ball_point_count(2, 8, float(r)) for r in radii]
         assert all(a <= b for a, b in zip(counts, counts[1:]))
 
-    def test_small_radius_path_matches_table_path(self):
-        for R in (1.2, 2.7, 3.9):
-            small = ball_point_count(2, 40, R)  # box path
-            table = int(np.searchsorted(sorted_offset_norms2(2, 40), R * R, side="left"))
-            assert small == table
+    def test_array_matches_per_radius_calls(self):
+        radii = np.array([[1.2, 2.7], [3.9, 57.0], [1.0, np.inf]])
+        counts = ball_point_count(2, 40, radii)
+        assert counts.shape == radii.shape
+        assert counts.tolist() == [[ball_point_count(2, 40, float(r)) for r in row] for row in radii]
+        assert counts[-1].tolist() == [0, 81 * 81 - 1]  # R = 1 is open; an infinite radius covers the torus
+        assert np.ndim(ball_point_count(2, 40, 2.7)) == 0
 
     def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ValueError):
-            ball_point_count(2, 5, 0.0)
+        for radius in (-5.0, 0.0, np.nan):
+            with pytest.raises(ValueError, match="positive"):
+                ball_point_count(2, 5, radius)
+            with pytest.raises(ValueError, match="positive"):
+                ball_point_count(2, 5, np.array([1.5, radius]))
+            with pytest.raises(ValueError, match="positive"):
+                generate_graph(TorusConfig(d=2, N=8, beta=3.0, seed=5), planted_radii={7: radius})
 
 
 class TestOutDegree:
@@ -212,6 +219,13 @@ class TestGeometry:
         with pytest.raises(ValueError):
             g_inverse(2, np.array([0.3, np.nan, 0.6]))
 
+    def test_scalar_in_gives_numpy_scalar_out(self):
+        for d in (1, 2, 3):
+            for value in (g_eval(d, 0.5), g_prime(d, 0.5), g_inverse(d, 0.5), h_lattice(d, 1.5 * d, np.array(0.5))):
+                assert isinstance(value, float) and np.ndim(value) == 0
+            assert h_lattice(d, 1.5 * d, 0.5) == h_lattice(d, 1.5 * d, np.array([0.5]))[0]
+            assert g_prime(d, 0.5) == g_prime(d, np.array([0.5]))[0]
+
     def test_g_prime_positive_and_consistent(self):
         for d in (1, 2, 3):
             for r in (0.3, 0.6, 0.9):
@@ -222,21 +236,21 @@ class TestGeometry:
 
     def test_geometry_table_cached(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(tmp_path))
-        from bigjumps.torus import GeometryTable
-
-        t1 = GeometryTable.build(3)
-        assert (tmp_path / "geometry_d3_4096.csv").exists()
-        t2 = GeometryTable.build(3)
+        t1 = torus.GeometryTable.build(3)
+        assert torus.GeometryTable._cache_path(3).parent == tmp_path
+        assert torus.GeometryTable._cache_path(3).exists()
+        t2 = torus.GeometryTable.build(3)
         assert np.array_equal(t1.g, t2.g)
+        # the file name carries the table format, so a table of another format is never read
+        monkeypatch.setattr(torus, "_TABLE_FORMAT", torus._TABLE_FORMAT + 1)
+        assert not torus.GeometryTable._cache_path(3).exists()
 
     def test_truncated_geometry_cache_is_rebuilt(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(tmp_path))
-        from bigjumps.torus import GeometryTable
-
-        fresh = GeometryTable.build(3)
-        path = tmp_path / "geometry_d3_4096.csv"
+        fresh = torus.GeometryTable.build(3)
+        path = torus.GeometryTable._cache_path(3)
         path.write_text("".join(path.read_text().splitlines(keepends=True)[:2000]))
-        loaded = GeometryTable.build(3)
+        loaded = torus.GeometryTable.build(3)
         assert np.array_equal(loaded.r, fresh.r)
         assert np.array_equal(loaded.g, fresh.g)
         assert loaded(0.9) == fresh(0.9)
