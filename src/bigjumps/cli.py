@@ -24,6 +24,8 @@ from . import __version__
 from . import condensation, rare_event, schemes, torus
 
 _OUT_ENV = "BIGJUMPS_OUT_DIR"
+# rows per formatted write of `graph degrees`
+_CSV_ROWS = 1 << 16
 
 
 def _outdir(args) -> Path:
@@ -277,10 +279,12 @@ def _load_graph(args) -> torus.DegreeSummary:
 def _cmd_graph_degrees(args):
     summary = _load_graph(args)
     path = Path(args.out) if args.out else _outdir(args) / "degrees.csv"
+    table = np.column_stack((np.arange(summary.config.n), summary.out_degrees, summary.in_degrees))
     with open(path, "w") as fh:
         fh.write("vertex_index,out_degree,in_degree\n")
-        for i, (o, d) in enumerate(zip(summary.out_degrees, summary.in_degrees)):
-            fh.write(f"{i},{int(o)},{int(d)}\n")
+        for start in range(0, len(table), _CSV_ROWS):
+            block = table[start : start + _CSV_ROWS]
+            fh.write(("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
     _emit({"n": summary.config.n, "csv": str(path), "edge_count": summary.edge_count}, args)
 
 

@@ -187,8 +187,11 @@ class TruncatedPareto(Scheme):
 
     def tail(self, n, y):
         y = np.asarray(y, dtype=float)
-        z = self._norm(n)
-        inner = (self.c / self.alpha) * (np.power(np.maximum(y, self.x0), -self.alpha) - float(n) ** -self.alpha) / z
+        z, n = self._norm(n), float(n)
+        # y^-a - n^-a = n^-a expm1(-a log(y/n)) without cancellation; log1p keeps log(y/n) accurate near n
+        ym = np.maximum(y, self.x0)
+        log_r = np.where(ym > 0.5 * n, np.log1p((ym - n) / n), np.log(ym / n))
+        inner = (self.c / self.alpha) * n**-self.alpha * np.expm1(-self.alpha * log_r) / z
         return np.where(y >= n, 0.0, np.where(y <= self.x0, 1.0, inner))[()]
 
     def sample_above(self, n, threshold, rng, size):

@@ -47,6 +47,8 @@ __all__ = [
 
 # hard cap on total ball-point visits per graph build
 _MAX_BALL_VISITS = 100_000_000
+# ball visits per in-degree scatter block
+_BLOCK = 1 << 16
 _MAX_VERTICES = 20_000_000
 
 
@@ -163,35 +165,51 @@ def out_degree_sample(config: TorusConfig, rng: np.random.Generator, size: int |
 def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None = None) -> DegreeSummary:
     """Sample all n radii and accumulate exact out- and in-degrees.
 
-    No edge list is materialized: each vertex's ball is enumerated once as a
-    prefix of the norm-sorted offset array, serving both degree counts.
+    No edge list is materialized: each vertex's ball is a prefix of the
+    norm-sorted offset table.  A target v + o with v, o in [-N, N]^d lies in
+    the box [-2N, 2N]^d without wrapping, so in-degrees are scattered into
+    that box (side P = 4N+1) by flat index, flat(v) + flat(o), in blocks of
+    about `_BLOCK` visits cut at vertex boundaries, then folded once onto the
+    torus.  Memory is the box plus one block, whatever the visit count.
     `planted_radii` overrides the radius of selected flat vertex indices
     (used for planted-condensation demonstrations).
     """
-    d, N, L, n = config.d, config.N, config.L, config.n
-    offsets = _offset_table(d, N)[0]
+    d, N, n = config.d, config.N, config.n
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     radii = _sample_radii(config.beta, rng, n)
-    if planted_radii:
-        for idx, r in planted_radii.items():
-            radii[idx] = r
+    for idx, r in (planted_radii or {}).items():
+        if not 0 <= idx < n:
+            raise ValueError(f"planted vertex index {idx} is outside [0, {n})")
+        radii[idx] = r
     out_deg = ball_point_count(d, N, radii)
 
     visits = int(out_deg.sum())
     if visits > _MAX_BALL_VISITS:
         raise MemoryError(f"graph build would visit {visits} ball points (cap {_MAX_BALL_VISITS})")
 
-    coords = _lattice_points(d, N)  # vertex index -> coords in [-N, N]^d
-    weights = L ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    P = 4 * N + 1
+    weights = P ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    flat_v = (_lattice_points(d, N) + 2 * N) @ weights
+    flat_o = _offset_table(d, N)[0] @ weights
+    ends = np.cumsum(out_deg)
+    starts = ends - out_deg
+    # cut where a block of _BLOCK visits ends; a ball straddling the mark gets a block of its own
+    marks = np.arange(_BLOCK, visits, _BLOCK)
+    cuts = np.concatenate((np.searchsorted(ends, marks, "right"), np.searchsorted(starts, marks, "left")))
+    bounds = np.unique(np.concatenate(([0, n], cuts)))
+    box = np.zeros(P**d, dtype=np.int64)
+    for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        deg = out_deg[a:b]
+        pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], deg)
+        np.add.at(box, np.repeat(flat_v[a:b], deg) + flat_o[pos], 1)
 
-    in_deg = np.zeros(n, dtype=np.int64)
-    src = np.repeat(np.arange(n), out_deg)
-    if len(src):
-        starts = np.concatenate(([0], np.cumsum(out_deg)[:-1]))
-        ball_pos = np.arange(visits) - np.repeat(starts, out_deg)
-        tgt_coords = (coords[src] + offsets[ball_pos] + N) % L  # shift to 0..L-1
-        flat = tgt_coords @ weights
-        np.add.at(in_deg, flat, 1)
+    # fold axis 0 (box index x + 2N for x in [-2N, 2N], torus index (x + N) mod L), then rotate the axes
+    box = box.reshape((P,) * d)
+    for _ in range(d):
+        box[2 * N + 1 : 3 * N + 1] += box[:N]
+        box[N : 2 * N] += box[3 * N + 1 :]
+        box = np.moveaxis(box[N : 3 * N + 1], 0, -1)
+    in_deg = box.flatten()
 
     return DegreeSummary(out_degrees=out_deg, in_degrees=in_deg, config=config)
 

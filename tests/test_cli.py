@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from bigjumps import cli
@@ -93,6 +94,30 @@ def test_graph_condense_planted(tmp_path, capsys):
     stats = json.loads(capsys.readouterr().out)
     assert stats["big_out_count"] >= 1
     assert stats["top_k_out_share"] == pytest.approx(80 / 81)
+
+
+@pytest.mark.parametrize("rows", [None, 7])
+def test_graph_degrees_csv_matches_per_row_writer(tmp_path, monkeypatch, rows):
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "6", "--beta", "3.0", "--seed", "4"]
+    assert run([*argv, "--plant", "0:inf", "17:6.0", "168:1.5"]) == 0
+    if rows:
+        monkeypatch.setattr(cli, "_CSV_ROWS", rows)
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--out", str(tmp_path / "deg.csv")]) == 0
+    with np.load(tmp_path / "graph.npz") as data:
+        out_deg, in_deg = data["out_degrees"], data["in_degrees"]
+    want = "vertex_index,out_degree,in_degree\n" + "".join(
+        f"{i},{int(o)},{int(d)}\n" for i, (o, d) in enumerate(zip(out_deg, in_deg))
+    )
+    assert out_deg[0] == 168
+    assert (tmp_path / "deg.csv").read_bytes() == want.encode()
+
+
+@pytest.mark.parametrize("plant", ["500:5", "-1:5"])
+def test_graph_gen_rejects_planted_index_outside_vertex_range(tmp_path, capsys, plant):
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "4", "--beta", "3.0", "--seed", "1"]
+    assert run([*argv, f"--plant={plant}"]) == 1
+    assert f"planted vertex index {plant.split(':')[0]} is outside [0, 81)" in capsys.readouterr().err
+    assert not (tmp_path / "graph.npz").exists()
 
 
 @pytest.mark.parametrize("radius", ["-5", "0", "nan"])

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,17 @@ class TestTruncatedPareto:
             emp = np.mean(w > y)
             se = math.sqrt(p * (1 - p) / len(w))
             assert abs(emp - p) < 4 * se + 1e-9
+
+    @pytest.mark.parametrize("c, alpha", [(1.5, 1.5), (1.2, 1.2)])
+    def test_tail_accurate_up_to_the_cutoff(self, c, alpha):
+        tp = TruncatedPareto(c=c, alpha=alpha)
+        for n in (64, 4096, 10**6):
+            # from the support floor x0 up to n(1 - 1e-15), where y^-alpha - n^-alpha cancels
+            ys = np.concatenate((np.geomspace(tp.x0, n / 2, 200), n * (1 - np.geomspace(1e-15, 0.5, 200))))
+            with mpmath.workdps(50):
+                ca, na = mpmath.mpf(c) / mpmath.mpf(alpha), mpmath.mpf(n) ** -alpha
+                want = [float(ca * (mpmath.mpf(y) ** -alpha - na) / (1 - ca * na)) for y in ys]
+            np.testing.assert_allclose(tp.tail(n, ys), want, rtol=1e-14, atol=0.0)
 
     def test_window_mass_tracks_shape_density(self):
         # P(a n <= W < b n) == n^-alpha * int_a^b h / (1 - (c/alpha) n^-alpha), exactly

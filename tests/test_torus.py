@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,22 +130,61 @@ class TestGraph:
         assert np.array_equal(a.out_degrees, b.out_degrees)
         assert np.array_equal(a.in_degrees, b.in_degrees)
 
-    def test_against_brute_force(self):
-        cfg = TorusConfig(d=2, N=3, beta=3.0, seed=3)
-        g = generate_graph(cfg)
-        L, n = cfg.L, cfg.n
+    @pytest.mark.parametrize("d, N", [(1, 6), (2, 3), (3, 2)], ids=["d1", "d2", "d3"])
+    def test_against_brute_force(self, d, N):
+        cfg = TorusConfig(d=d, N=N, beta=d + 1.0, seed=3)
+        n = cfg.n
+        # a torus-covering ball, one at the wrap distance N and one just past the nearest neighbours
+        planted = {0: math.inf, n // 2: float(N), n - 1: 1.0 + 1e-9}
+        g = generate_graph(cfg, planted)
         rng = np.random.default_rng(np.random.SeedSequence(3))
         radii = (1.0 - rng.random(n)) ** (-1.0 / cfg.beta)
-        coords = [(x, y) for x in range(-3, 4) for y in range(-3, 4)]
+        for i, r in planted.items():
+            radii[i] = r
+        coords = list(itertools.product(range(-N, N + 1), repeat=d))
         ind = np.zeros(n, int)
         outd = np.zeros(n, int)
         for i in range(n):
             for j in range(n):
-                if i != j and torus_distance(2, L, coords[i], coords[j]) < radii[i]:
+                if i != j and torus_distance(d, cfg.L, coords[i], coords[j]) < radii[i]:
                     outd[i] += 1
                     ind[j] += 1
         assert np.array_equal(outd, g.out_degrees)
         assert np.array_equal(ind, g.in_degrees)
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_block_size_does_not_change_degrees(self, monkeypatch, block):
+        cases = [
+            (TorusConfig(d=1, N=40, beta=1.5, seed=1), None),
+            (TorusConfig(d=2, N=9, beta=3.0, seed=2), {5: math.inf, 6: 3.5, 200: 0.5}),
+            (TorusConfig(d=3, N=3, beta=4.0, seed=3), {0: 2.5, 342: math.inf}),
+        ]
+        want = [generate_graph(cfg, planted) for cfg, planted in cases]
+        monkeypatch.setattr(torus, "_BLOCK", block)
+        for (cfg, planted), ref in zip(cases, want):
+            g = generate_graph(cfg, planted)
+            assert np.array_equal(g.out_degrees, ref.out_degrees)
+            assert np.array_equal(g.in_degrees, ref.in_degrees)
+            assert g.in_degrees.dtype == ref.in_degrees.dtype
+
+    def test_memory_is_bounded_by_box_and_block(self):
+        # 64 torus-covering balls make 4.8M ball visits; only the box and one block may be held
+        cfg = TorusConfig(d=2, N=128, beta=3.0, seed=3)
+        planted = {i * 997: math.inf for i in range(64)}
+        torus._offset_table(2, 128)
+        tracemalloc.start()
+        try:
+            g = generate_graph(cfg, planted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edge_count > 64 * (cfg.n - 1)
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("index", [500, -1])
+    def test_rejects_planted_index_outside_vertex_range(self, index):
+        with pytest.raises(ValueError, match=f"planted vertex index {index} "):
+            generate_graph(TorusConfig(d=2, N=4, beta=3.0, seed=1), {index: 5.0})
 
     def test_local_in_degree_bound_for_small_radii(self):
         # with every radius < 2, nobody's in-degree can exceed the number of
