@@ -157,9 +157,7 @@ def _cmd_estimate(args):
     if args.method == "naive":
         est = rare_event.estimate_naive(spec, args.n, window, mu_n, args.samples, seed=args.seed)
     else:
-        est = rare_event.estimate_structured(
-            spec, args.n, window, eps=args.eps, krho=None, samples=args.samples, seed=args.seed
-        )
+        est = rare_event.estimate_structured(spec, args.n, window, args.samples, seed=args.seed)
     _emit(
         {
             "prob": est.prob,
@@ -249,11 +247,7 @@ def _graph_path(args) -> Path:
 
 def _cmd_graph_gen(args):
     cfg = torus.TorusConfig(d=args.d, N=args.N, beta=args.beta, seed=args.seed)
-    planted = {}
-    for spec_str in args.plant or []:
-        idx, radius = spec_str.split(":")
-        planted[int(idx)] = float(radius)
-    summary = torus.generate_graph(cfg, planted_radii=planted or None)
+    summary = torus.generate_graph(cfg, planted_radii=dict(args.plant or ()) or None)
     path = _graph_path(args)
     np.savez_compressed(
         path,
@@ -318,6 +312,14 @@ def _power_width(text: str) -> tuple[float, float]:
     return float(w0), float(gamma)
 
 
+def _plant(text: str) -> tuple[int, float]:
+    try:
+        idx, radius = text.split(":")
+        return int(idx), float(radius)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected INDEX:RADIUS, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bigjumps", description=__doc__)
     parser.add_argument("--outdir", default=None, help=f"output directory (default: ${_OUT_ENV} or cwd)")
@@ -361,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="naive", choices=["naive", "structured"])
-    p.add_argument("--eps", type=float, help="big-jump threshold fraction (structured)")
 
     p = add("ldp-sweep", _cmd_ldp_sweep, help="ratio table over an n sweep")
     p.add_argument("--scheme", required=True)
@@ -405,7 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--graph", help="output .npz path (default <outdir>/graph.npz)")
-    p.add_argument("--plant", nargs="*", help="vertex_index:radius overrides")
+    p.add_argument(
+        "--plant", nargs="*", type=_plant, metavar="INDEX:RADIUS",
+        help="planted radius overrides; write a negative index as --plant=-1:5",
+    )
 
     p = gsub.add_parser("degrees", help="export per-vertex degrees as CSV")
     p.set_defaults(func=_cmd_graph_degrees, _name="graph degrees")

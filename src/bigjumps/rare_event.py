@@ -8,13 +8,14 @@ exact_dp              exact n-fold convolution oracle for DiscreteGrid schemes.
 predicted_window_prob the asymptotic prediction C(n,k) * width * n^(-alpha k) * K.
 jump_sum_window_prob  P(T_k in [n s1, n s2]) for the k-fold sum alone, with
                       importance boosting (all coordinates conditioned big).
-estimate_structured   C(n,k) * P(T_k in inner window) * P(bulk near its mean),
-                      the dominant-configuration approximation.
+estimate_structured   C(n,k) * P(T_k in inner window), the dominant-configuration
+                      approximation.
 conditional_profiles  rejection sampling of full rows given S_n in I_n,
                       decomposed into eps-big jumps and bulk.
 
-Windows are centered at n * mu_n (the finite-n mean) rather than n * mu: at
-desk scale the difference mu_n - mu shifts the window by more than its width.
+Windows are centered at n * mu_n, the exact finite-n mean `Scheme.mu_n`, rather
+than n * mu: at desk scale the difference mu_n - mu shifts the window by more
+than its width.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ class RhoWindow:
 
     rho: float
     width_rule: tuple = ("fixed", 0.1)
-    centered: bool = True
 
     def __post_init__(self):
         if self.rho <= 0.0:
@@ -292,46 +292,29 @@ def estimate_structured(
     spec: Scheme,
     n: int,
     window: RhoWindow,
-    eps: float | None,
-    krho: KrhoResult | None,
     samples: int,
     rng: np.random.Generator | None = None,
     seed: int = 0,
     delta_frac: float = 0.05,
-    slack: float = math.inf,
 ) -> EstimateResult:
-    """Dominant-configuration estimate C(n,k) * P(T_k in inner window) * P(bulk ok).
+    """Dominant-configuration estimate C(n,k) * P(T_k in inner window).
 
-    Approximates the leading event (exactly k big coordinates whose sum
-    falls in a slightly shrunk window while the remaining n-k coordinates
-    obey the law of large numbers within `slack`*n).  Contributions from
-    misplaced jump sums, extra big jumps and too few big jumps are omitted;
-    they vanish asymptotically but the estimator is an approximation at
-    finite n and is cross-validated against estimate_naive, not claimed
-    unbiased.  slack = inf makes the bulk factor exactly one.
+    Approximates the leading event: exactly k big coordinates whose sum
+    falls in the window shrunk by `delta_frac` of its width at each end,
+    the remaining n-k coordinates taken to stay near their mean (a bulk
+    factor of one).  Contributions from misplaced jump sums, extra big
+    jumps and too few big jumps are omitted; they vanish asymptotically
+    but the estimator is an approximation at finite n and is
+    cross-validated against estimate_naive, not claimed unbiased.
     """
     k = window.k
-    rho = window.rho
-    if eps is not None and not (0.0 < eps < (rho - (k - 1)) / k):
-        raise ValueError(f"eps must lie in (0, (rho-(k-1))/k) = (0, {(rho - (k - 1)) / k:.4g})")
-    if krho is not None and krho.diverged:
-        raise ValueError("condensation constant diverged")
     rng = np.random.default_rng(seed) if rng is None else rng
     r1, r2 = window.bounds(n)
     delta = delta_frac * window.width(n)
     inner = jump_sum_window_prob(spec, k, n, r1 + delta, r2 - delta, samples, rng=rng)
-    if math.isinf(slack):
-        bulk_prob, bulk_hits, bulk_samples = 1.0, samples, samples
-    else:
-        mu_n, _ = spec.mu_n(n)
-        m = n - k
-        bulk_samples = min(samples, max(2000, samples // 10))
-        s = sample_sums(spec, m, bulk_samples, rng)
-        bulk_hits = int(np.count_nonzero(np.abs(s - m * mu_n) <= slack * n))
-        bulk_prob = bulk_hits / bulk_samples
     log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    prob = math.exp(log_binom) * inner.prob * bulk_prob
-    se = math.exp(log_binom) * inner.std_error * bulk_prob
+    prob = math.exp(log_binom) * inner.prob
+    se = math.exp(log_binom) * inner.std_error
     if prob > 1.0:
         warnings.warn("structured estimate exceeded 1; window too wide for the factorization", stacklevel=2)
         prob, se = 1.0, min(se, 1.0)
@@ -574,9 +557,7 @@ def ratio_sweep(
                 "ratio": est.prob / rhs if rhs > 0 else math.nan,
             }
             if structured_samples > 0 and not isinstance(spec, DiscreteGrid):
-                st = estimate_structured(
-                    spec, n, window, eps=None, krho=krho, samples=structured_samples, seed=seed + 7919 * (i + 1)
-                )
+                st = estimate_structured(spec, n, window, structured_samples, seed=seed + 7919 * (i + 1))
                 row["structured"] = st.prob
                 row["structured_ratio"] = st.prob / rhs if rhs > 0 else math.nan
             rows.append(row)

@@ -35,6 +35,7 @@ from functools import partial
 from pathlib import Path
 
 import numpy as np
+from scipy import integrate
 
 from . import torus
 
@@ -95,8 +96,9 @@ class Scheme:
     """Base class for cut-off heavy-tailed schemes.
 
     Subclasses provide the row-level law of W(n) through `sample`,
-    `tail` (exact upper-tail probabilities), `sample_above` (conditional
-    sampling used for importance boosting) and `h` (shape density).
+    `tail` (exact upper-tail probabilities), `mu_n` (exact mean),
+    `sample_above` (conditional sampling used for importance boosting) and
+    `h` (shape density).
     `tail` and `h` take arrays elementwise, and a scalar argument gives a
     NumPy scalar (a NumPy float64 is a `float`).
     """
@@ -118,19 +120,13 @@ class Scheme:
     def h(self, x):
         raise NotImplementedError
 
-    def mu_n(self, n: int, samples: int = 200_000, rng: np.random.Generator | None = None):
-        """Mean of W(n): (value, std_error); std_error 0.0 when analytic.
-
-        The default is the Monte Carlo mean of `samples` draws from `rng`
-        (default_rng(0) when None).
-        """
-        rng = np.random.default_rng(0) if rng is None else rng
-        w = np.asarray(self.sample(n, rng, size=samples), dtype=float)
-        return float(np.mean(w)), float(np.std(w, ddof=1) / math.sqrt(samples))
+    def mu_n(self, n: int) -> tuple[float, float]:
+        """Exact mean E[W(n)] as (value, 0.0): a float and a zero standard error."""
+        raise NotImplementedError
 
     @property
     def mu_limit(self) -> float | None:
-        """Limit of the row means, None when only a Monte Carlo estimate exists."""
+        """Limit of the row means as n -> inf, None when the scheme has no closed form for it."""
         return None
 
     def check_level(self, n: int) -> None:
@@ -207,7 +203,7 @@ class TruncatedPareto(Scheme):
             raise ValueError("h is defined on the open interval (0, 1)")
         return self.c * x ** (-self.alpha - 1.0)
 
-    def mu_n(self, n, samples=0, rng=None):
+    def mu_n(self, n):
         a, c, x0 = self.alpha, self.c, self.x0
         raw = (c / (a - 1.0)) * (x0 ** (1.0 - a) - float(n) ** (1.0 - a))
         return raw / self._norm(n), 0.0
@@ -269,6 +265,12 @@ class SmoothCutoff(Scheme):
             raise ValueError("h is defined on the open interval (0, 1)")
         ell = -np.log1p(-x)
         return self.c * self.alpha / (1.0 - x) * ell ** (-self.alpha - 1.0)
+
+    def mu_n(self, n):
+        # E[phi_n(W)] = int_0^inf phi_n'(x) P(W > x) dx with phi_n'(x) = e^(-x/n), and P(W > x) = 1 below x0
+        n, x0 = float(n), self.x0
+        upper, _ = integrate.quad(lambda x: math.exp(-x / n) * x**-self.alpha, x0, math.inf, epsabs=0.0, epsrel=1e-12)
+        return -n * math.expm1(-x0 / n) + self.c * upper, 0.0
 
     @property
     def mu_limit(self):
@@ -338,6 +340,10 @@ class LatticeBall(Scheme):
 
     def h(self, x):
         return torus.h_lattice(self.d, self.beta, x)
+
+    def mu_n(self, n):
+        # E[W] = sum_j P(W > j), and P(W > j) = P(R^2 > norms2[j])
+        return float(np.sum(self._geometry(n) ** (-self.beta / 2.0))), 0.0
 
     def spec_dict(self):
         return {"shape": "lattice_ball", "d": self.d, "beta": self.beta}
@@ -411,7 +417,7 @@ class DiscreteGrid(Scheme):
     def h(self, x):
         raise ValueError("DiscreteGrid has no shape density h (oracle-only scheme)")
 
-    def mu_n(self, n, samples=0, rng=None):
+    def mu_n(self, n):
         return float(np.dot(self.pmf, np.arange(self.m + 1)) * self.grid_step(n)), 0.0
 
     def spec_dict(self):

@@ -120,6 +120,19 @@ def test_graph_gen_rejects_planted_index_outside_vertex_range(tmp_path, capsys, 
     assert not (tmp_path / "graph.npz").exists()
 
 
+@pytest.mark.parametrize("plant", ["3", "a:b"])
+def test_graph_gen_malformed_plant_is_usage_error(tmp_path, capsys, plant):
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "4", "--beta", "3.0", "--seed", "1"]
+    assert run([*argv, "--plant", plant]) == 2
+    assert f"expected INDEX:RADIUS, got '{plant}'" in capsys.readouterr().err
+    assert not (tmp_path / "graph.npz").exists()
+
+
+def test_graph_gen_help_names_the_negative_index_form(capsys):
+    assert run(["graph", "gen", "--help"]) == 0
+    assert "--plant=-1:5" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("radius", ["-5", "0", "nan"])
 def test_graph_gen_rejects_nonpositive_planted_radius(tmp_path, capsys, radius):
     argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "8", "--beta", "3.0", "--seed", "5"]
@@ -256,6 +269,15 @@ def test_workers_flag_is_usage_error(tmp_path, pareto_cfg):
         "--outdir", str(tmp_path),
         "estimate", "--scheme", str(pareto_cfg), "--n", "256", "--rho", "0.5",
         "--width", "0.1", "--samples", "20000", "--workers", "2",
+    ]
+    assert run(argv) == 2
+
+
+def test_estimate_eps_flag_is_usage_error(tmp_path, pareto_cfg):
+    argv = [
+        "--outdir", str(tmp_path),
+        "estimate", "--scheme", str(pareto_cfg), "--n", "256", "--rho", "0.5",
+        "--width", "0.1", "--method", "structured", "--eps", "0.05",
     ]
     assert run(argv) == 2
 

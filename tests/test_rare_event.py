@@ -181,17 +181,6 @@ class TestJumpSumWindow:
 
 
 class TestEstimateStructured:
-    def test_slack_infinite_drops_bulk_factor(self):
-        w = RhoWindow(0.5, ("fixed", 0.1))
-        a = estimate_structured(TP, 256, w, eps=None, krho=None, samples=50_000, seed=7, slack=math.inf)
-        b = estimate_structured(TP, 256, w, eps=None, krho=None, samples=50_000, seed=7, slack=1e9)
-        assert a.prob == pytest.approx(b.prob, rel=1e-12)
-
-    def test_eps_precondition(self):
-        w = RhoWindow(0.5, ("fixed", 0.1))
-        with pytest.raises(ValueError):
-            estimate_structured(TP, 256, w, eps=0.6, krho=None, samples=50_000)
-
     def test_discrete_grid_against_exact(self):
         # thin-tailed grid scheme, window exactly 4 grid steps wide: the
         # dominant-configuration estimate tracks the exact oracle within 15%
@@ -205,7 +194,7 @@ class TestEstimateStructured:
         mu, _ = dg.mu_n(n)
         w = RhoWindow(0.53, ("fixed", 0.25))  # 0.25 * 32 = 8 = 4 steps of n/m = 2
         exact = exact_dp(dg, n, w.interval(n, mu))
-        est = estimate_structured(dg, n, w, eps=None, krho=None, samples=400_000, seed=8, slack=math.inf, delta_frac=0.0)
+        est = estimate_structured(dg, n, w, samples=400_000, seed=8, delta_frac=0.0)
         assert est.prob == pytest.approx(exact, rel=0.15)
 
     def test_cross_validates_against_naive_at_large_n(self):
@@ -215,7 +204,7 @@ class TestEstimateStructured:
         w = RhoWindow(0.5, ("fixed", 0.1))
         mu, _ = TP.mu_n(n)
         naive = estimate_naive(TP, n, w, mu, samples=60_000, seed=9)
-        struct = estimate_structured(TP, n, w, eps=0.05, krho=None, samples=200_000, seed=10, slack=math.inf, delta_frac=0.0)
+        struct = estimate_structured(TP, n, w, samples=200_000, seed=10, delta_frac=0.0)
         sigma = math.sqrt(naive.std_error ** 2 + struct.std_error ** 2 + (0.08 * naive.prob) ** 2)
         assert abs(naive.prob - struct.prob) <= 3 * sigma
 
@@ -346,7 +335,7 @@ class TestRatioSweep:
     def test_programming_errors_propagate(self):
         # only domain errors (ValueError) become error rows; a bug in a scheme raises
         class BuggyPareto(TruncatedPareto):
-            def mu_n(self, n, samples=0, rng=None):
+            def mu_n(self, n):
                 raise KeyError("bug")
 
         w = RhoWindow(0.5, ("fixed", 0.1))

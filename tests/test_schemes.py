@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from bigjumps import (
     DiscreteGrid,
@@ -159,6 +160,62 @@ def test_tail_contract(case):
         assert isinstance(spec.h(np.array(0.5)), float)
 
 
+def _tail_integral(spec, n):
+    """int_0^n P(W(n) > y) dy: a sum over the value grid for lattice laws, a quad otherwise."""
+    if isinstance(spec, LatticeBall):
+        return math.fsum(spec.tail(n, np.arange(n)))
+    if isinstance(spec, DiscreteGrid):
+        step = spec.grid_step(n)
+        return step * math.fsum(spec.tail(n, np.arange(spec.m) * step))
+    # the tail is 1 up to the image of the support floor x0 and smooth above it
+    knot = spec.x0 if isinstance(spec, TruncatedPareto) else -n * math.expm1(-spec.x0 / n)
+    val, _ = integrate.quad(lambda y: spec.tail(n, y), 0.0, n, points=[knot], epsabs=0.0, epsrel=1e-13, limit=500)
+    return val
+
+
+def _assert_sample_mean(spec, n, seed):
+    # a 5-SE band: a correct mean fails it with probability 5.7e-7 under the normal approximation
+    w = spec.sample(n, np.random.default_rng(seed), size=1_000_000)
+    se = np.std(w, ddof=1) / math.sqrt(len(w))
+    assert abs(np.mean(w) - spec.mu_n(n)[0]) < 5 * se
+
+
+@st.composite
+def _mean_cases(draw):
+    """A scheme and two valid levels n1 < n2."""
+    kind = draw(st.sampled_from(["truncated_pareto", "smooth_cutoff", "lattice_ball", "discrete_grid"]))
+    if kind == "lattice_ball":
+        d = draw(st.sampled_from((1, 2, 3)))
+        top = {1: 200, 2: 12, 3: 5}[d]
+        N1 = draw(st.integers(1, top - 1))
+        N2 = draw(st.integers(N1 + 1, top))
+        spec = LatticeBall(d=d, beta=draw(st.floats(d + 0.05, 3.0 * d)))
+        return spec, (2 * N1 + 1) ** d, (2 * N2 + 1) ** d
+    if kind == "discrete_grid":
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12).filter(lambda w: sum(w) > 0.01))
+        spec = DiscreteGrid(pmf=tuple(np.asarray(weights) / math.fsum(weights)))
+    else:
+        law = TruncatedPareto if kind == "truncated_pareto" else SmoothCutoff
+        spec = law(c=draw(st.floats(0.1, 10.0)), alpha=draw(st.floats(1.05, 4.0)))
+    # two levels a factor >= 2 apart, so that the increase of the mean stays above round-off
+    n1 = draw(st.integers(max(2, math.floor(spec.x0) + 1) if kind == "truncated_pareto" else 2, 5000))
+    return spec, n1, n1 * draw(st.integers(2, 4))
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_mean_cases())
+def test_mu_n_contract(case):
+    """mu_n is the exact mean: (float, 0.0) in [0, n], nondecreasing in n, the integral of the tail."""
+    spec, n1, n2 = case
+    (mu1, se1), (mu2, se2) = spec.mu_n(n1), spec.mu_n(n2)
+    assert type(mu1) is float and type(mu2) is float
+    assert se1 == se2 == 0.0
+    assert 0.0 <= mu1 <= n1 and 0.0 <= mu2 <= n2
+    assert mu1 <= mu2
+    for n, mu in ((n1, mu1), (n2, mu2)):
+        assert math.isclose(mu, _tail_integral(spec, n), rel_tol=1e-10, abs_tol=0.0)
+
+
 class TestSmoothCutoff:
     SC = SmoothCutoff(c=1.5, alpha=1.5)
 
@@ -183,10 +240,14 @@ class TestSmoothCutoff:
             se = math.sqrt(p * (1 - p) / len(w)) + 1e-9
             assert abs(emp - p) < 4 * se
 
-    def test_mu_n_is_monte_carlo_with_se(self):
-        val, se = self.SC.mu_n(500, samples=50_000, rng=np.random.default_rng(2))
-        assert se > 0.0
-        assert abs(val - self.SC.mu_limit) < 1.0
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_mu_n_is_the_tail_integral(self, n):
+        mu, se = self.SC.mu_n(n)
+        assert se == 0.0
+        assert mu == pytest.approx(_tail_integral(self.SC, n), rel=1e-10)
+
+    def test_mu_n_matches_sample_mean(self):
+        _assert_sample_mean(self.SC, 4096, seed=2)
 
 
 class TestLatticeBall:
@@ -224,6 +285,16 @@ class TestLatticeBall:
             emp = np.mean(w > y)
             se = math.sqrt(p * (1 - p) / len(w)) + 1e-9
             assert abs(emp - p) < 4 * se
+
+    @pytest.mark.parametrize("d, beta, n", [(1, 1.5, 1025), (2, 3.0, 4225), (3, 4.5, 2197)])
+    def test_mu_n_is_the_tail_sum(self, d, beta, n):
+        lb = LatticeBall(d=d, beta=beta)
+        mu, se = lb.mu_n(n)
+        assert se == 0.0
+        assert mu == pytest.approx(_tail_integral(lb, n), rel=1e-12)
+
+    def test_mu_n_matches_sample_mean(self):
+        _assert_sample_mean(LatticeBall(d=2, beta=3.0), 4225, seed=4)
 
 
 class TestDiscreteGrid:
