@@ -44,7 +44,6 @@ from .schemes import (
 )
 from .torus import (
     DegreeSummary,
-    GeometryTable,
     TorusConfig,
     ball_point_count,
     calibrate_h,

@@ -117,6 +117,8 @@ def _cmd_krho(args):
 
 
 def _cmd_tail_check(args):
+    if not 0.0 < args.a < args.b <= 1.0:
+        raise ValueError(f"tail-check needs 0 < a < b <= 1; got a={args.a}, b={args.b}")
     spec = schemes.load_scheme_config(args.scheme)
     rows = []
     for i, n in enumerate(args.n_list):
@@ -137,7 +139,8 @@ def _cmd_lln(args):
     spec = schemes.load_scheme_config(args.scheme)
     rows = []
     for i, n in enumerate(args.n_list):
-        est = schemes.lln_deviation(spec, n, zeta=args.zeta, samples=args.samples, seed=args.seed + i)
+        seed = np.random.SeedSequence((args.seed, i))
+        est = schemes.lln_deviation(spec, n, zeta=args.zeta, samples=args.samples, seed=seed)
         rows.append({"n": n, "prob": est.prob, "std_error": est.std_error})
     _write_csv(_outdir(args) / "lln.csv", ["n", "prob", "std_error"], rows)
     _emit(rows, args)

@@ -246,7 +246,6 @@ def condensation_constant(
     tol: float = 1e-8,
     method: str = "auto",
     samples: int = 400_000,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> KrhoResult:
     """Evaluate the condensation constant K(rho) for shape density h.
@@ -278,7 +277,7 @@ def condensation_constant(
         return KrhoResult(value=value, abs_error_bound=bound, method="grid", diverged=math.isinf(value), note=note)
 
     if method == "monte_carlo":
-        rng = np.random.default_rng(seed) if rng is None else rng
+        rng = np.random.default_rng(seed)
         value, se = _mc_krho(h, rho, k, samples, rng)
         # 3-sigma statistical bound so that independent routes overlap at their bounds
         return KrhoResult(value=value, abs_error_bound=3.0 * se, method="monte_carlo")

@@ -177,7 +177,6 @@ def estimate_naive(
     window: RhoWindow,
     mu_ref: float,
     samples: int,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> EstimateResult:
     """Hit-counting estimate of P(S_n in I_n) with binomial standard error."""
@@ -186,7 +185,7 @@ def estimate_naive(
     if not math.isnan(getattr(spec, "alpha", float("nan"))):
         window.validate_for_alpha(spec.alpha)
     lo, hi = window.interval(n, mu_ref)
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     s = sample_sums(spec, n, samples, rng)
     hits = int(np.count_nonzero((s >= lo) & (s <= hi)))
     if hits < 25:
@@ -251,7 +250,6 @@ def jump_sum_window_prob(
     sigma1: float,
     sigma2: float,
     samples: int,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> EstimateResult:
     """P(n*sigma1 <= T_k <= n*sigma2) for T_k = W_1 + ... + W_k alone.
@@ -268,7 +266,7 @@ def jump_sum_window_prob(
             "the k-jump local analysis targets that range",
             stacklevel=2,
         )
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     margin = sigma1 - (k - 1)
     if margin <= 0.0:
         # no boosting possible; plain hit counting on T_k
@@ -293,7 +291,6 @@ def estimate_structured(
     n: int,
     window: RhoWindow,
     samples: int,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
     delta_frac: float = 0.05,
 ) -> EstimateResult:
@@ -308,10 +305,9 @@ def estimate_structured(
     cross-validated against estimate_naive, not claimed unbiased.
     """
     k = window.k
-    rng = np.random.default_rng(seed) if rng is None else rng
     r1, r2 = window.bounds(n)
     delta = delta_frac * window.width(n)
-    inner = jump_sum_window_prob(spec, k, n, r1 + delta, r2 - delta, samples, rng=rng)
+    inner = jump_sum_window_prob(spec, k, n, r1 + delta, r2 - delta, samples, seed=seed)
     log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
     prob = math.exp(log_binom) * inner.prob
     se = math.exp(log_binom) * inner.std_error
@@ -346,7 +342,6 @@ def conditional_profiles(
     eps: float,
     target_hits: int,
     max_samples: int,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
     mu_ref: float | None = None,
 ) -> ConditionalSample:
@@ -358,7 +353,7 @@ def conditional_profiles(
     """
     if target_hits < 1:
         raise ValueError("target_hits must be positive")
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     if mu_ref is None:
         mu_ref, _ = spec.mu_n(n)
     lo, hi = window.interval(n, mu_ref)
@@ -428,7 +423,6 @@ def jump_size_gof(
     k: int,
     krho: KrhoResult,
     bins: int = 8,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
     values: np.ndarray | None = None,
 ) -> GofResult:
@@ -446,7 +440,7 @@ def jump_size_gof(
         raise ValueError("the jump-size law is nontrivial only for k >= 2")
     if krho.diverged:
         raise ValueError("condensation constant diverged")
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
 
     skipped = 0
     if values is None:

@@ -441,7 +441,6 @@ def lln_deviation(
     n: int,
     zeta: float,
     samples: int,
-    rng: np.random.Generator | None = None,
     seed: int = 0,
 ) -> EstimateResult:
     """Empirical P(|S_n - n*mu_n| > zeta*n) with binomial standard error."""
@@ -450,7 +449,7 @@ def lln_deviation(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     mu, _ = spec.mu_n(n)
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     s = sample_sums(spec, n, samples, rng)
     hits = int(np.count_nonzero(np.abs(s - n * mu) > zeta * n))
     return _binomial_result(hits, samples, method="lln")

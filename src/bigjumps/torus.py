@@ -18,11 +18,8 @@ vertex is (2N)^d g(R / (sqrt(d) N)) up to a boundary term of order N^(d-1).
 from __future__ import annotations
 
 import math
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
@@ -30,7 +27,6 @@ from scipy.interpolate import PchipInterpolator
 __all__ = [
     "TorusConfig",
     "DegreeSummary",
-    "GeometryTable",
     "torus_distance",
     "sorted_offset_norms2",
     "ball_point_count",
@@ -253,90 +249,36 @@ def _g_d2(r):
 
 
 def _cube_ball_volume(d: int, a: float) -> float:
-    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) by recursive cross-section quadrature."""
+    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) for d >= 3 by quadrature over the last axis.
+
+    The cross-section at height t is a (d-1)-ball of radius s = sqrt(a^2 - t^2)
+    in the unit (d-1)-cube: the closed-form disk area for d = 3, the cached
+    (d-1) table beyond.
+    """
     if a <= 0.0:
         return 0.0
     if a * a >= d / 4.0:
         return 1.0
-    if d == 1:
-        return min(2.0 * a, 1.0)
-    if d == 2:
-        return float(_disk_square_area(a))
     t = np.linspace(0.0, min(0.5, a), 513)
     s = np.sqrt(np.maximum(a * a - t * t, 0.0))
     if d == 3:
         # cross-section disk covers the unit square once s >= sqrt(2)/2
         cross = np.where(s * s >= 0.5, 1.0, _disk_square_area(np.minimum(s, math.sqrt(0.5))))
     else:
-        cross = np.array([_cube_ball_volume(d - 1, float(si)) for si in s])
+        cross = g_eval(d - 1, 2.0 * s / math.sqrt(d - 1))
     return float(2.0 * np.trapezoid(cross, t))
 
 
 _TABLE_GRID = 4096
-# bump when _cube_ball_volume or the CSV layout changes, so an older table is never loaded
-_TABLE_FORMAT = 1
-_cache_env = "BIGJUMPS_OUT_DIR"
-
-
-@dataclass
-class GeometryTable:
-    """Tabulated g on [0, 1] for d >= 3, with monotone interpolants."""
-
-    d: int
-    r: np.ndarray
-    g: np.ndarray
-    _interp: PchipInterpolator = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._interp = PchipInterpolator(self.r, self.g, extrapolate=False)
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.where(r >= 1.0, 1.0, np.where(r <= 0.0, 0.0, self._interp(np.clip(r, 0.0, 1.0))))
-        return out
-
-    def derivative(self, r):
-        return self._interp.derivative()(np.clip(np.asarray(r, dtype=float), 0.0, 1.0))
-
-    @staticmethod
-    def _cache_path(d: int) -> Path:
-        root = Path(os.environ.get(_cache_env, Path.home() / ".cache" / "bigjumps"))
-        return root / f"geometry_d{d}_{_TABLE_GRID}_v{_TABLE_FORMAT}.csv"
-
-    @classmethod
-    def build(cls, d: int) -> "GeometryTable":
-        path = cls._cache_path(d)
-        r = np.linspace(0.0, 1.0, _TABLE_GRID)
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-            if data.shape == (_TABLE_GRID, 2) and np.array_equal(data[:, 0], r):
-                return cls(d=d, r=r, g=data[:, 1])
-        except (OSError, ValueError):
-            pass  # missing or unreadable cache: rebuild it
-        g = np.array([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
-        g = np.maximum.accumulate(g)
-        table = cls(d=d, r=r, g=g)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # write a sibling temp file and rename it, so readers never see a partial table
-            fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write("r,g\n")
-                    for ri, gi in zip(r, g):
-                        fh.write(f"{float(ri)!r},{float(gi)!r}\n")
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-        except OSError:
-            pass  # cache is best-effort
-        return table
 
 
 @lru_cache(maxsize=8)
-def _table(d: int) -> GeometryTable:
-    return GeometryTable.build(d)
+def _g_table(d: int) -> tuple[PchipInterpolator, PchipInterpolator]:
+    """g on a uniform grid of [0, 1] for d >= 3 as a monotone interpolant, and its derivative."""
+    r = np.linspace(0.0, 1.0, _TABLE_GRID)
+    g = np.maximum.accumulate([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
+    interp = PchipInterpolator(r, g, extrapolate=False)
+    return interp, interp.derivative()
 
 
 def g_eval(d: int, r):
@@ -347,7 +289,7 @@ def g_eval(d: int, r):
     elif d == 2:
         out = _g_d2(r)
     else:
-        out = _table(d)(r)
+        out = np.where(r >= 1.0, 1.0, np.where(r <= 0.0, 0.0, _g_table(d)[0](np.clip(r, 0.0, 1.0))))
     return out[()]
 
 
@@ -362,7 +304,7 @@ def g_prime(d: int, r):
         dA = np.where(a <= 0.5, 2.0 * np.pi * a, 2.0 * np.pi * a - 8.0 * a * np.arccos(np.minimum(0.5 / np.maximum(a, 1e-300), 1.0)))
         out = np.where(inside, dA / math.sqrt(2.0), 0.0)
     else:
-        out = np.where(inside, _table(d).derivative(r), 0.0)
+        out = np.where(inside, _g_table(d)[1](np.clip(r, 0.0, 1.0)), 0.0)
     return out[()]
 
 

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from bigjumps import cli
+from bigjumps import cli, schemes
 from bigjumps.cli import run
 
 
@@ -248,6 +248,31 @@ def test_lln_and_tail_check(tmp_path, pareto_cfg, capsys):
     rows = json.loads(capsys.readouterr().out)
     for row in rows:
         assert abs(row["ratio"] - 1.0) < 4 * row["std_error"] / row["expected"] + 0.02
+
+
+def test_lln_rows_seed_from_seed_and_row(tmp_path, pareto_cfg, capsys):
+    argv = [
+        "--outdir", str(tmp_path),
+        "lln", "--scheme", str(pareto_cfg), "--zeta", "0.3", "--n-list", "64,64,256",
+        "--samples", "2000", "--seed", "3",
+    ]
+    assert run(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    spec = schemes.load_scheme_config(pareto_cfg)
+    for i, row in enumerate(rows):
+        est = schemes.lln_deviation(spec, row["n"], zeta=0.3, samples=2000, seed=np.random.SeedSequence((3, i)))
+        assert (row["prob"], row["std_error"]) == (est.prob, est.std_error)
+
+
+@pytest.mark.parametrize("a,b", [("0.5", "0.3"), ("0", "0.5")], ids=["a_above_b", "a_zero"])
+def test_tail_check_rejects_window_outside_unit_interval(tmp_path, pareto_cfg, capsys, a, b):
+    argv = [
+        "--outdir", str(tmp_path),
+        "tail-check", "--scheme", str(pareto_cfg), "--a", a, "--b", b, "--n-list", "256", "--samples", "1000",
+    ]
+    assert run(argv) == 1
+    assert "0 < a < b <= 1" in capsys.readouterr().err
+    assert not (tmp_path / "tail_check.csv").exists()
 
 
 def test_estimate_does_not_depend_on_cpu_count(tmp_path, pareto_cfg, capsys, monkeypatch):

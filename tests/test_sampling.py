@@ -2,6 +2,7 @@
 same computation done in one shot on the same Generator, bit for bit."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -14,9 +15,15 @@ from bigjumps import (
     RhoWindow,
     SmoothCutoff,
     TruncatedPareto,
+    condensation_constant,
     conditional_profiles,
+    estimate_naive,
+    estimate_structured,
+    jump_size_gof,
     jump_sum_window_prob,
+    lln_deviation,
     sample_sums,
+    uniform_h,
 )
 from bigjumps.rare_event import _decompose
 from bigjumps.schemes import _BLOCK
@@ -105,3 +112,32 @@ def test_conditional_profiles_match_one_shot_rejection(name, n, target):
         assert cond.samples_used == min(max_samples, (last // rows + 1) * rows)
     else:
         assert cond.samples_used == max_samples
+
+
+def _gof(seed):
+    tp = SCHEMES["truncated_pareto"]
+    window = RhoWindow(1.5, ("fixed", 0.2))
+    cond = conditional_profiles(tp, 64, window, eps=0.3, target_hits=60, max_samples=200_000, seed=0)
+    return jump_size_gof(cond, tp.h, 1.5, 2, condensation_constant(tp.h, 1.5, 2, tol=1e-6), bins=4, seed=seed)
+
+
+_TP = SCHEMES["truncated_pareto"]
+_SEEDED = {
+    "estimate_naive": lambda seed: estimate_naive(_TP, 256, RhoWindow(0.5, ("fixed", 0.4)), _TP.mu_n(256)[0], 20_000, seed=seed),
+    "jump_sum_window_prob": lambda seed: jump_sum_window_prob(_TP, 2, 65, 1.4, 1.6, 20_000, seed=seed),
+    "estimate_structured": lambda seed: estimate_structured(_TP, 256, RhoWindow(1.5, ("fixed", 0.2)), 20_000, seed=seed),
+    "conditional_profiles": lambda seed: conditional_profiles(
+        _TP, 64, RhoWindow(0.5, ("fixed", 0.4)), eps=0.1, target_hits=50, max_samples=20_000, seed=seed
+    ),
+    "jump_size_gof": _gof,
+    "condensation_constant": lambda seed: condensation_constant(uniform_h, 3.5, 4, samples=20_000, seed=seed),
+    "lln_deviation": lambda seed: lln_deviation(_TP, 64, 0.3, 2_000, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", list(_SEEDED))
+def test_seed_may_be_a_generator(name):
+    # every estimator seeds with default_rng(seed), so a Generator seeded with s draws the stream of s
+    got, want = _SEEDED[name](np.random.default_rng(11)), _SEEDED[name](11)
+    for field in dataclasses.fields(want):
+        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name

@@ -275,28 +275,44 @@ class TestGeometry:
                 assert gp > 0
                 assert gp == pytest.approx(fd, rel=5e-3, abs=1e-4)
 
-    def test_geometry_table_cached(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(tmp_path))
-        t1 = torus.GeometryTable.build(3)
-        assert torus.GeometryTable._cache_path(3).parent == tmp_path
-        assert torus.GeometryTable._cache_path(3).exists()
-        t2 = torus.GeometryTable.build(3)
-        assert np.array_equal(t1.g, t2.g)
-        # the file name carries the table format, so a table of another format is never read
-        monkeypatch.setattr(torus, "_TABLE_FORMAT", torus._TABLE_FORMAT + 1)
-        assert not torus.GeometryTable._cache_path(3).exists()
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_geometry_writes_no_file(self, d, tmp_path, monkeypatch):
+        home, out = tmp_path / "home", tmp_path / "out"
+        home.mkdir()
+        out.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(out))
+        torus._g_table.cache_clear()
+        for value in (g_eval(d, 0.5), g_prime(d, 0.5), g_inverse(d, 0.5), h_lattice(d, 1.5 * d, 0.5)):
+            assert math.isfinite(value)
+        assert list(home.iterdir()) == [] and list(out.iterdir()) == []
 
-    def test_truncated_geometry_cache_is_rebuilt(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIGJUMPS_OUT_DIR", str(tmp_path))
-        fresh = torus.GeometryTable.build(3)
-        path = torus.GeometryTable._cache_path(3)
-        path.write_text("".join(path.read_text().splitlines(keepends=True)[:2000]))
-        loaded = torus.GeometryTable.build(3)
-        assert np.array_equal(loaded.r, fresh.r)
-        assert np.array_equal(loaded.g, fresh.g)
-        assert loaded(0.9) == fresh(0.9)
-        assert len(path.read_text().splitlines()) == 4097  # the cache is rewritten whole
-        assert [f.name for f in tmp_path.iterdir()] == [path.name]  # no temp file left behind
+    @pytest.mark.parametrize("d,unit_ball", [(3, 4.0 / 3.0 * math.pi), (4, math.pi**2 / 2.0)])
+    def test_g_inside_cube_is_ball_volume(self, d, unit_ball):
+        # a ball of radius a <= 1/2 lies inside the cube; near a = 0 the interpolant
+        # of a^d loses relative (not absolute) accuracy, so start at a = 0.05
+        a = np.linspace(0.05, 0.5, 91)
+        np.testing.assert_allclose(g_eval(d, 2.0 * a / math.sqrt(d)), unit_ball * a**d, rtol=2e-6)
+
+    def test_g_d4_matches_pointwise_recursion(self):
+        def volume(d, a):
+            """Vol(B(0, a) ∩ unit cube) recursing point by point down to the d = 3 disk cross-section."""
+            if a <= 0.0:
+                return 0.0
+            if a * a >= d / 4.0:
+                return 1.0
+            t = np.linspace(0.0, min(0.5, a), 513)
+            s = np.sqrt(np.maximum(a * a - t * t, 0.0))
+            if d == 3:
+                cross = np.where(s * s >= 0.5, 1.0, torus._disk_square_area(np.minimum(s, math.sqrt(0.5))))
+            else:
+                cross = np.array([volume(d - 1, float(si)) for si in s])
+            return float(2.0 * np.trapezoid(cross, t))
+
+        # table nodes, where g_eval returns the tabulated value; at d = 4 the ball radius is a = r
+        r = np.linspace(0.0, 1.0, torus._TABLE_GRID)[[300, 1000, 1500, 2048, 2600, 3000, 3500, 3900]]
+        want = np.array([volume(4, float(ri)) for ri in r])
+        assert np.max(np.abs(g_eval(4, r) - want)) < 1e-9
 
 
 class TestLatticeShapeDensity:
