@@ -54,7 +54,6 @@ from .torus import (
     generate_graph,
     h_lattice,
     lattice_tail_constant,
-    out_degree_sample,
     torus_distance,
 )
 

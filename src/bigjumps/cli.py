@@ -85,16 +85,14 @@ def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
             fh.write(",".join(repr(row.get(col, "")) if not isinstance(row.get(col), str) else row[col] for col in header) + "\n")
 
 
-def _resolve_h(args, spec=None):
+def _resolve_h(args):
     if getattr(args, "h", None) == "uniform":
         return condensation.uniform_h
     if getattr(args, "h_table", None):
         return condensation.load_tabulated_h(args.h_table)
-    if spec is None and getattr(args, "scheme", None):
-        spec = schemes.load_scheme_config(args.scheme)
-    if spec is None:
-        raise ValueError("provide --scheme, --h uniform, or --h-table")
-    return spec.h
+    if getattr(args, "scheme", None):
+        return schemes.load_scheme_config(args.scheme).h
+    raise ValueError("provide --scheme, --h uniform, or --h-table")
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +250,7 @@ def _cmd_graph_gen(args):
     cfg = torus.TorusConfig(d=args.d, N=args.N, beta=args.beta, seed=args.seed)
     summary = torus.generate_graph(cfg, planted_radii=dict(args.plant or ()) or None)
     path = _graph_path(args)
-    np.savez_compressed(
+    np.savez(
         path,
         out_degrees=summary.out_degrees,
         in_degrees=summary.in_degrees,

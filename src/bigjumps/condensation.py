@@ -195,10 +195,6 @@ class _HProposal:
         weight = np.asarray(self._h(x), dtype=float) / np.maximum(self._seg_pdf[seg], 1e-300)
         return x, weight
 
-    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
-        x, _ = self.from_uniform(rng.random(size))
-        return x
-
 
 def _mc_krho(h, rho, k, samples, rng, strata=64):
     """Stratified importance sampling of the slab integral.

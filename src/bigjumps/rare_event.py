@@ -182,7 +182,7 @@ def estimate_naive(
     """Hit-counting estimate of P(S_n in I_n) with binomial standard error."""
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples for a window estimate")
-    if not math.isnan(getattr(spec, "alpha", float("nan"))):
+    if not math.isnan(spec.alpha):
         window.validate_for_alpha(spec.alpha)
     lo, hi = window.interval(n, mu_ref)
     rng = np.random.default_rng(seed)
@@ -534,6 +534,8 @@ def ratio_sweep(
         raise ValueError("scheme has no tail index; pass alpha explicitly")
     rows: list[dict] = []
     for i, n in enumerate(n_list):
+        # SeedSequence((seed, i)) gives each (seed, row) its own stream; the structured column takes its first child
+        row_seed = np.random.SeedSequence((seed, i))
         try:
             mu_n, _ = spec.mu_n(n)
             rhs = predicted_window_prob(alpha, n, window, krho)
@@ -541,7 +543,7 @@ def ratio_sweep(
                 p = exact_dp(spec, n, window.interval(n, mu_n))
                 est = EstimateResult(prob=p, std_error=0.0, samples=0, hits=0, method="exact_dp")
             else:
-                est = estimate_naive(spec, n, window, mu_n, samples_per_n, seed=seed + 104_729 * (i + 1))
+                est = estimate_naive(spec, n, window, mu_n, samples_per_n, seed=row_seed)
             row = {
                 "n": n,
                 "method": est.method,
@@ -551,7 +553,7 @@ def ratio_sweep(
                 "ratio": est.prob / rhs if rhs > 0 else math.nan,
             }
             if structured_samples > 0 and not isinstance(spec, DiscreteGrid):
-                st = estimate_structured(spec, n, window, structured_samples, seed=seed + 7919 * (i + 1))
+                st = estimate_structured(spec, n, window, structured_samples, seed=row_seed.spawn(1)[0])
                 row["structured"] = st.prob
                 row["structured_ratio"] = st.prob / rhs if rhs > 0 else math.nan
             rows.append(row)

@@ -23,8 +23,10 @@ LatticeBall       out-degree of a vertex of the lattice-torus ball graph
 DiscreteGrid      values i*(n/m) with a fixed pmf; exists so that exact
                   dynamic-programming oracles are possible.
 
-All samplers are inverse-CDF (no rejection) and reproducible from
-(scheme, n, seed).
+Each scheme writes its inverse CDF once, in `sample_above` (W(n)
+conditioned on W(n) > threshold); `sample` is `sample_above` below the
+support, since every W(n) >= 0.  No sampler rejects, and draws are
+reproducible from (scheme, n, seed).
 """
 
 from __future__ import annotations
@@ -95,10 +97,11 @@ def _row_blocks(draw, width: int, count: int):
 class Scheme:
     """Base class for cut-off heavy-tailed schemes.
 
-    Subclasses provide the row-level law of W(n) through `sample`,
-    `tail` (exact upper-tail probabilities), `mu_n` (exact mean),
-    `sample_above` (conditional sampling used for importance boosting) and
-    `h` (shape density).
+    Subclasses provide the row-level law of W(n) through `sample_above`
+    (the one inverse CDF: draws conditioned on W(n) > threshold, also used
+    for importance boosting), `tail` (exact upper-tail probabilities),
+    `mu_n` (exact mean) and `h` (shape density).  `sample` is
+    `sample_above` below the support, where the condition is void.
     `tail` and `h` take arrays elementwise, and a scalar argument gives a
     NumPy scalar (a NumPy float64 is a `float`).
     """
@@ -106,15 +109,20 @@ class Scheme:
     alpha: float
 
     # -- law --------------------------------------------------------------
-    def sample(self, n: int, rng: np.random.Generator, size: int | None = None):
-        raise NotImplementedError
+    def sample(self, n: int, rng: np.random.Generator, size=None):
+        """Draws of W(n); W(n) >= 0, so W(n) > -1 conditions on nothing."""
+        return self.sample_above(n, -1.0, rng, size)
 
     def tail(self, n: int, y):
         """Exact P(W(n) > y), elementwise in y."""
         raise NotImplementedError
 
-    def sample_above(self, n: int, threshold: float, rng: np.random.Generator, size: int):
-        """Draws of W(n) conditioned on W(n) > threshold."""
+    def sample_above(self, n: int, threshold: float, rng: np.random.Generator, size=None):
+        """Draws of W(n) conditioned on W(n) > threshold; a ValueError for an invalid level n.
+
+        The uniforms go straight into the inverse CDF: an array of them kept
+        alive next to the draws would add a block to the peak memory.
+        """
         raise NotImplementedError
 
     def h(self, x):
@@ -168,19 +176,6 @@ class TruncatedPareto(Scheme):
         # P(W <= n) for the untruncated Pareto
         return 1.0 - (self.c / self.alpha) * float(n) ** (-self.alpha)
 
-    def inverse_cdf(self, n: int, u):
-        """Quantile transform of W(n); u = 1 maps to the cut-off n exactly."""
-        z = self._norm(n)
-        x = ((1.0 - np.asarray(u) * z) * (self.alpha / self.c)) ** (-1.0 / self.alpha)
-        return np.minimum(x, float(n))
-
-    def sample(self, n, rng, size=None):
-        self.check_level(n)
-        if n <= self.x0:
-            raise ValueError(f"level n={n} is below the support floor x0={self.x0:.3g}")
-        u = rng.random(size)
-        return self.inverse_cdf(n, u)
-
     def tail(self, n, y):
         y = np.asarray(y, dtype=float)
         z, n = self._norm(n), float(n)
@@ -190,11 +185,13 @@ class TruncatedPareto(Scheme):
         inner = (self.c / self.alpha) * n**-self.alpha * np.expm1(-self.alpha * log_r) / z
         return np.where(y >= n, 0.0, np.where(y <= self.x0, 1.0, inner))[()]
 
-    def sample_above(self, n, threshold, rng, size):
+    def sample_above(self, n, threshold, rng, size=None):
+        self.check_level(n)
+        if n <= self.x0:
+            raise ValueError(f"level n={n} is below the support floor x0={self.x0:.3g}")
         t = max(threshold, self.x0)
         ta, na = t ** -self.alpha, float(n) ** -self.alpha
-        u = rng.random(size)
-        x = (ta - u * (ta - na)) ** (-1.0 / self.alpha)
+        x = (ta - rng.random(size) * (ta - na)) ** (-1.0 / self.alpha)
         return np.minimum(x, float(n))
 
     def h(self, x):
@@ -238,25 +235,16 @@ class SmoothCutoff(Scheme):
         # support floor of the underlying Pareto: P(W > x0) = 1
         return self.c ** (1.0 / self.alpha)
 
-    def _sample_underlying(self, rng, size):
-        u = rng.random(size)
-        return (self.c / (1.0 - u)) ** (1.0 / self.alpha)
-
-    def sample(self, n, rng, size=None):
-        self.check_level(n)
-        w = self._sample_underlying(rng, size)
-        return float(n) * (1.0 - np.exp(-w / float(n)))
-
     def tail(self, n, y):
         # m = phi^(-1)(y) for y clipped to [0, n]; y >= n maps to m = inf, whose tail is 0
         with np.errstate(divide="ignore"):
             m = -float(n) * np.log1p(-np.clip(np.asarray(y, dtype=float), 0.0, n) / float(n))
         return np.where(m <= self.x0, 1.0, self.c * np.power(np.maximum(m, self.x0), -self.alpha))[()]
 
-    def sample_above(self, n, threshold, rng, size):
+    def sample_above(self, n, threshold, rng, size=None):
+        self.check_level(n)
         m = max(-float(n) * math.log1p(-threshold / float(n)), self.x0)
-        u = rng.random(size)
-        w = m * (1.0 - u) ** (-1.0 / self.alpha)
+        w = m * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
         return n * (1.0 - np.exp(-w / n))
 
     def h(self, x):
@@ -314,11 +302,6 @@ class LatticeBall(Scheme):
     def _geometry(self, n: int):
         return torus.sorted_offset_norms2(self.d, self.level_to_N(n))
 
-    def sample(self, n, rng, size=None):
-        self.check_level(n)
-        cfg = torus.TorusConfig(d=self.d, N=self.level_to_N(n), beta=self.beta, seed=0)
-        return torus.out_degree_sample(cfg, rng, size=size)
-
     def tail(self, n, y):
         # W > y  <=>  W >= k+1 for k = floor(y)  <=>  R^2 > norms2[k], of probability
         # norms2[k]^(-beta/2); the smallest norm is 1, so k < 0 clips to a tail of 1
@@ -329,14 +312,15 @@ class LatticeBall(Scheme):
         r2 = norms2[np.clip(k, 0, len(norms2) - 1).astype(np.int64)]
         return np.where(k >= len(norms2), 0.0, np.power(r2, -self.beta / 2.0))[()]
 
-    def sample_above(self, n, threshold, rng, size):
+    def sample_above(self, n, threshold, rng, size=None):
+        self.check_level(n)
         norms2 = self._geometry(n)
         k = int(math.floor(threshold))
         if k >= len(norms2):
             raise ValueError("threshold at or above the maximal degree")
         rstar = math.sqrt(float(norms2[max(k, 0)]))
-        u = rng.random(size)
-        return torus.ball_point_count(self.d, self.level_to_N(n), rstar * (1.0 - u) ** (-1.0 / self.beta))
+        r = rstar * (1.0 - rng.random(size)) ** (-1.0 / self.beta)
+        return torus.ball_point_count(self.d, self.level_to_N(n), r)
 
     def h(self, x):
         return torus.h_lattice(self.d, self.beta, x)
@@ -379,18 +363,6 @@ class DiscreteGrid(Scheme):
             return 0.0
         return n / self.m
 
-    def _cdf(self):
-        return np.cumsum(self.pmf)
-
-    def sample_index(self, rng, size):
-        u = rng.random(size)
-        return np.searchsorted(self._cdf(), u, side="right")
-
-    def sample(self, n, rng, size=None):
-        self.check_level(n)
-        idx = self.sample_index(rng, size)
-        return idx * self.grid_step(n)
-
     def sum_indices(self, n, rng, size):
         """Index sums of n draws per replica, via multinomial counts (exact law)."""
         index = np.arange(self.m + 1)
@@ -403,16 +375,19 @@ class DiscreteGrid(Scheme):
         upper = np.append(np.cumsum(self.pmf[::-1])[::-1], 0.0)  # upper[i] = P(index >= i)
         return upper[np.searchsorted(vals, y, side="right")][()]
 
-    def sample_above(self, n, threshold, rng, size):
-        step = self.grid_step(n)
-        vals = np.arange(self.m + 1) * step
-        mask = vals > threshold
-        mass = np.asarray(self.pmf)[mask]
-        if mass.sum() <= 0.0:
+    def sample_above(self, n, threshold, rng, size=None):
+        self.check_level(n)
+        vals = np.arange(self.m + 1) * self.grid_step(n)
+        pmf = np.asarray(self.pmf)
+        # zero-mass values are never drawn, so the last kept value is the top of the support
+        keep = (vals > threshold) & (pmf > 0.0)
+        if not keep.any():
             raise ValueError("no pmf mass above threshold")
+        mass = pmf[keep]
         cdf = np.cumsum(mass / mass.sum())
-        u = rng.random(size)
-        return vals[mask][np.searchsorted(cdf, u, side="right")]
+        # a cdf summing below 1 leaves uniforms past its end: they take the top kept value
+        idx = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(mass) - 1)
+        return vals[keep][idx]
 
     def h(self, x):
         raise ValueError("DiscreteGrid has no shape density h (oracle-only scheme)")

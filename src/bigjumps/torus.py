@@ -30,7 +30,6 @@ __all__ = [
     "torus_distance",
     "sorted_offset_norms2",
     "ball_point_count",
-    "out_degree_sample",
     "generate_graph",
     "condensation_stats",
     "g_eval",
@@ -148,14 +147,6 @@ def ball_point_count(d: int, N: int, R):
 def _sample_radii(beta: float, rng: np.random.Generator, size):
     u = rng.random(size)
     return (1.0 - u) ** (-1.0 / beta)
-
-
-def out_degree_sample(config: TorusConfig, rng: np.random.Generator, size: int | None = None):
-    """Out-degree draw(s): radius by inverse CDF, then the open-ball point count.
-
-    By vertex-transitivity this is the out-degree law of every vertex.
-    """
-    return ball_point_count(config.d, config.N, _sample_radii(config.beta, rng, size))
 
 
 def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None = None) -> DegreeSummary:
@@ -370,7 +361,7 @@ def calibrate_h(
     for i, N in enumerate(N_list):
         cfg = TorusConfig(d=d, N=int(N), beta=beta, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        w = out_degree_sample(cfg, rng, size=samples)
+        w = ball_point_count(d, cfg.N, _sample_radii(beta, rng, samples))
         n = cfg.n
         for a in a_list:
             p = float(np.count_nonzero(w >= a * n)) / samples

@@ -343,6 +343,14 @@ class TestRatioSweep:
         with pytest.raises(KeyError):
             ratio_sweep(BuggyPareto(c=1.5, alpha=1.5), w, [64], 1_000, kr)
 
+    def test_seeds_do_not_share_row_streams(self):
+        # row 1 of seed 0 and row 0 of seed 104729 drew the same stream under a seed + 104729 * (i + 1) rule
+        w = RhoWindow(0.5, ("fixed", 0.4))
+        kr = condensation_constant(TP.h, 0.5, 1)
+        a = ratio_sweep(TP, w, [64, 64], 20_000, kr, seed=0)[1]
+        b = ratio_sweep(TP, w, [64], 20_000, kr, seed=104_729)[0]
+        assert a["prob"] != b["prob"]
+
 
 class TestExchangeability:
     def test_coordinate_shuffle_layer_is_distribution_neutral(self):

@@ -38,8 +38,6 @@ class TestTruncatedPareto:
             assert w.max() <= n
 
     def test_cutoff_is_the_supremum(self):
-        # the top quantile maps to the cut-off level itself
-        assert TP.inverse_cdf(1000, 1.0) == pytest.approx(1000.0, rel=1e-9)
         rng = np.random.default_rng(0)
         assert TP.sample(10, rng, size=100_000).max() <= 10.0
 
@@ -119,6 +117,61 @@ class TestTruncatedPareto:
         emp = np.mean(w >= 0.5 * n)
         se = math.sqrt(expect * (1 - expect) / len(w))
         assert abs(emp - expect) < 4 * se
+
+
+class _TopUniform:
+    """A Generator stand-in whose every uniform is the largest double below 1."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        (TP, 1000),
+        (SmoothCutoff(c=1.5, alpha=1.5), 1000),
+        (LatticeBall(d=1, beta=1.5), 101),
+        (LatticeBall(d=2, beta=3.0), 121),
+        (DiscreteGrid(pmf=(0.1,) * 10), 90),
+        (DiscreteGrid(pmf=(0.1,) * 10 + (0.0,)), 100),
+    ],
+    ids=["pareto", "smooth", "lattice_d1", "lattice_d2", "grid", "grid_zero_top"],
+)
+def test_top_uniform_stays_in_support(spec, n):
+    """The largest uniform maps into [0, n]; sample_above stays above its threshold."""
+    rng = _TopUniform()
+    threshold = 0.45 * n
+    for size in (None, (2, 3)):
+        w = np.asarray(spec.sample(n, rng, size))
+        assert np.all((w >= 0.0) & (w <= n))
+        above = np.asarray(spec.sample_above(n, threshold, rng, size))
+        assert np.all((above > threshold) & (above <= n))
+        if isinstance(spec, DiscreteGrid):
+            # the top draw is the largest grid value that carries mass
+            top = spec.grid_step(n) * np.flatnonzero(spec.pmf)[-1]
+            assert np.all(w == top) and np.all(above == top)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TP, SmoothCutoff(c=1.5, alpha=1.5), LatticeBall(d=1, beta=1.5), DiscreteGrid(pmf=(0.5, 0.5))],
+    ids=["pareto", "smooth", "lattice", "grid"],
+)
+def test_sampler_rejects_level_zero(spec):
+    rng = np.random.default_rng(0)
+    for threshold in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="level"):
+            spec.sample_above(0, threshold, rng, 4)
+
+
+def test_pareto_sampler_rejects_level_at_or_below_support_floor():
+    tp = TruncatedPareto(c=8.0, alpha=1.5)  # x0 = (16/3)^(2/3) = 3.05
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="support floor"):
+        tp.sample_above(3, 0.0, rng, 4)
+    assert tp.sample_above(4, 0.0, rng, 4).max() <= 4.0
 
 
 TAIL_SCHEMES = (

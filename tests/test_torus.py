@@ -17,7 +17,6 @@ from bigjumps import (
     generate_graph,
     h_lattice,
     lattice_tail_constant,
-    out_degree_sample,
     torus_distance,
 )
 from bigjumps import torus
@@ -100,15 +99,14 @@ class TestOutDegree:
 
     def test_min_degree_2d(self):
         rng = np.random.default_rng(2)
-        w = out_degree_sample(self.CFG, rng, size=100_000)
+        w = LatticeBall(self.CFG.d, self.CFG.beta).sample(self.CFG.n, rng, size=100_000)
         assert w.min() >= 2 * self.CFG.d
 
     def test_mean_stabilizes_across_N(self):
         means = []
         for N in (16, 32, 64):
-            cfg = TorusConfig(d=2, N=N, beta=3.0, seed=0)
             rng = np.random.default_rng(3)
-            means.append(out_degree_sample(cfg, rng, size=200_000).mean())
+            means.append(LatticeBall(2, 3.0).sample((2 * N + 1) ** 2, rng, size=200_000).mean())
         assert abs(means[2] - means[1]) < abs(means[1] - means[0]) + 0.05
 
     def test_config_validation(self):
