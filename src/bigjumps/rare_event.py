@@ -35,7 +35,7 @@ from .schemes import (
     EstimateResult,
     Scheme,
     _binomial_result,
-    _row_blocks,
+    _map_blocks,
     sample_sums,
 )
 
@@ -185,8 +185,7 @@ def estimate_naive(
     if not math.isnan(spec.alpha):
         window.validate_for_alpha(spec.alpha)
     lo, hi = window.interval(n, mu_ref)
-    rng = np.random.default_rng(seed)
-    s = sample_sums(spec, n, samples, rng)
+    s = sample_sums(spec, n, samples, seed)
     hits = int(np.count_nonzero((s >= lo) & (s <= hi)))
     if hits < 25:
         warnings.warn(f"only {hits} hits out of {samples} samples; estimate is unreliable", stacklevel=2)
@@ -266,21 +265,22 @@ def jump_sum_window_prob(
             "the k-jump local analysis targets that range",
             stacklevel=2,
         )
-    rng = np.random.default_rng(seed)
     margin = sigma1 - (k - 1)
     if margin <= 0.0:
         # no boosting possible; plain hit counting on T_k
-        method, weight, draw = "naive", 1.0, partial(spec.sample, n, rng)
+        method, weight, draw = "naive", 1.0, partial(spec.sample, n)
     else:
         threshold = margin * n * (1.0 - 1e-12)
         p_tail = spec.tail(n, threshold)
         if p_tail <= 0.0:
             return EstimateResult(prob=0.0, std_error=0.0, samples=samples, hits=0, method="importance")
-        method, weight, draw = "importance", p_tail ** k, partial(spec.sample_above, n, threshold, rng)
-    hits = 0
-    for rows in _row_blocks(draw, k, samples):
-        t_k = rows.sum(axis=1)
-        hits += int(np.count_nonzero((t_k >= n * sigma1) & (t_k <= n * sigma2)))
+        method, weight, draw = "importance", p_tail ** k, partial(spec.sample_above, n, threshold)
+
+    def block_hits(rng, rows):
+        t_k = draw(rng, (rows, k)).sum(axis=1)
+        return int(np.count_nonzero((t_k >= n * sigma1) & (t_k <= n * sigma2)))
+
+    hits = sum(_map_blocks(block_hits, k, samples, seed))
     p = hits / samples
     se = weight * math.sqrt(p * (1.0 - p) / samples)
     return EstimateResult(prob=weight * p, std_error=se, samples=samples, hits=hits, method=method)
@@ -348,27 +348,27 @@ def conditional_profiles(
     """Rejection sampling: keep full coordinate vectors of replicas with S_n in I_n.
 
     Each kept replica is decomposed at the threshold eps*n.  Stops at
-    target_hits or when max_samples replicas have been consumed (the
-    achieved hit count is whatever was collected by then).
+    target_hits or when max_samples replicas have been consumed, a whole
+    row block at a time (the hit count is whatever was collected by then).
     """
     if target_hits < 1:
         raise ValueError("target_hits must be positive")
-    rng = np.random.default_rng(seed)
     if mu_ref is None:
         mu_ref, _ = spec.mu_n(n)
     lo, hi = window.interval(n, mu_ref)
     eps_n = eps * n
+
+    def block(rng, rows):
+        w = spec.sample(n, rng, (rows, n))
+        s = w.sum(axis=1)
+        kept = (_decompose(w[i], eps_n) for i in np.flatnonzero((s >= lo) & (s <= hi)))
+        return rows, [prof for prof in kept if lo <= prof.s_n <= hi]  # recheck with the exact-identity sum
+
     profiles: list[JumpProfile] = []
     used = 0
-    for w in _row_blocks(partial(spec.sample, n, rng), n, max_samples):
-        used += len(w)
-        s = w.sum(axis=1)
-        for i in np.flatnonzero((s >= lo) & (s <= hi)):
-            prof = _decompose(w[i], eps_n)
-            if lo <= prof.s_n <= hi:  # recheck with the exact-identity sum
-                profiles.append(prof)
-                if len(profiles) >= target_hits:
-                    break
+    for rows, kept in _map_blocks(block, n, max_samples, seed):
+        used += rows
+        profiles += kept[: target_hits - len(profiles)]
         if len(profiles) >= target_hits:
             break
     if len(profiles) < target_hits:

@@ -32,8 +32,11 @@ reproducible from (scheme, n, seed).
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -76,22 +79,45 @@ def _binomial_result(hits: int, samples: int, method: str) -> EstimateResult:
     return EstimateResult(prob=p, std_error=se, samples=samples, hits=hits, method=method)
 
 
-# Elements per row block: large enough to amortize the per-call overhead,
-# small enough to stay in cache.
+# Elements per row block: large enough to amortize the per-call overhead, small
+# enough to stay in cache.  Each block draws its own stream, so results depend on it.
 _BLOCK = 1 << 16
+# Threads drawing row blocks, from one pool per worker count made on first use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_executor = lru_cache(maxsize=None)(ThreadPoolExecutor)
 
 
-def _row_blocks(draw, width: int, count: int):
-    """Yield `count` rows of `width` draws as (rows, width) blocks of about _BLOCK elements.
+def _map_blocks(work, width: int, count: int, seed):
+    """Yield work(rng, rows) for each row block of `count` replicas of `width` draws, in block order.
 
-    `draw(shape)` returns the next rows of the caller's single Generator.
-    Every built-in draw consumes its stream in row order, so the
-    concatenated rows, and every result built from them, do not depend on
-    the block size.
+    Block b holds max(1, _BLOCK // width) replicas and draws from its own
+    Generator, PCG64(SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,))).
+    The root is SeedSequence(seed), a SeedSequence seed itself, or a new child
+    of a Generator seed's seed sequence, so reusing a Generator never repeats a
+    stream.  Blocks run on _WORKERS threads (inline for one), at most one per
+    worker in flight: results depend on _BLOCK, not on the machine or the
+    worker count.  Blocks in flight when the caller stops are discarded.
     """
+    if isinstance(seed, np.random.Generator):
+        seed = seed.bit_generator.seed_seq.spawn(1)[0]
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rows = max(1, _BLOCK // width)
-    for start in range(0, count, rows):
-        yield draw((min(rows, count - start), width))
+
+    def run(b):
+        stream = np.random.SeedSequence(root.entropy, spawn_key=root.spawn_key + (b,))
+        return work(np.random.Generator(np.random.PCG64(stream)), min(rows, count - b * rows))
+
+    if _WORKERS == 1:
+        yield from map(run, range(-(-count // rows)))
+        return
+    work(np.random.default_rng(root), 0)  # builds lazily cached tables (LatticeBall's offset norms) on this thread
+    pending = deque()
+    for b in range(-(-count // rows)):
+        pending.append(_executor(_WORKERS).submit(run, b))
+        if len(pending) == _WORKERS:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 class Scheme:
@@ -118,12 +144,17 @@ class Scheme:
         raise NotImplementedError
 
     def sample_above(self, n: int, threshold: float, rng: np.random.Generator, size=None):
-        """Draws of W(n) conditioned on W(n) > threshold; a ValueError for an invalid level n.
+        """Draws of W(n) given W(n) > threshold; a ValueError for an invalid level n or if tail(n, threshold) == 0.
 
-        The uniforms go straight into the inverse CDF: an array of them kept
-        alive next to the draws would add a block to the peak memory.
+        The inverse CDF runs in place on the uniforms, which become the draws:
+        a second array per row block would add its page faults to every draw.
         """
         raise NotImplementedError
+
+    def _check_above(self, n: int, threshold: float) -> None:
+        self.check_level(n)
+        if self.tail(n, threshold) == 0.0:
+            raise ValueError(f"W({n}) > {threshold} is an empty event: tail(n, threshold) is 0")
 
     def h(self, x):
         raise NotImplementedError
@@ -186,13 +217,15 @@ class TruncatedPareto(Scheme):
         return np.where(y >= n, 0.0, np.where(y <= self.x0, 1.0, inner))[()]
 
     def sample_above(self, n, threshold, rng, size=None):
-        self.check_level(n)
         if n <= self.x0:
             raise ValueError(f"level n={n} is below the support floor x0={self.x0:.3g}")
+        self._check_above(n, threshold)
         t = max(threshold, self.x0)
         ta, na = t ** -self.alpha, float(n) ** -self.alpha
-        x = (ta - rng.random(size) * (ta - na)) ** (-1.0 / self.alpha)
-        return np.minimum(x, float(n))
+        # x = min((ta - u (ta - na))^(-1/alpha), n), in place on the uniforms u
+        x = rng.random(() if size is None else size)
+        np.power(np.subtract(ta, np.multiply(x, ta - na, out=x), out=x), -1.0 / self.alpha, out=x)
+        return np.minimum(x, float(n), out=x)[()]
 
     def h(self, x):
         x = np.asarray(x, dtype=float)
@@ -242,10 +275,13 @@ class SmoothCutoff(Scheme):
         return np.where(m <= self.x0, 1.0, self.c * np.power(np.maximum(m, self.x0), -self.alpha))[()]
 
     def sample_above(self, n, threshold, rng, size=None):
-        self.check_level(n)
+        self._check_above(n, threshold)
         m = max(-float(n) * math.log1p(-threshold / float(n)), self.x0)
-        w = m * (1.0 - rng.random(size)) ** (-1.0 / self.alpha)
-        return n * (1.0 - np.exp(-w / n))
+        # x = n (1 - e^(-w/n)) with w = m (1 - u)^(-1/alpha), in place on the uniforms u
+        x = rng.random(() if size is None else size)
+        np.multiply(m, np.power(np.subtract(1.0, x, out=x), -1.0 / self.alpha, out=x), out=x)
+        np.exp(np.divide(x, -float(n), out=x), out=x)
+        return np.multiply(n, np.subtract(1.0, x, out=x), out=x)[()]
 
     def h(self, x):
         x = np.asarray(x, dtype=float)
@@ -313,14 +349,12 @@ class LatticeBall(Scheme):
         return np.where(k >= len(norms2), 0.0, np.power(r2, -self.beta / 2.0))[()]
 
     def sample_above(self, n, threshold, rng, size=None):
-        self.check_level(n)
-        norms2 = self._geometry(n)
-        k = int(math.floor(threshold))
-        if k >= len(norms2):
-            raise ValueError("threshold at or above the maximal degree")
-        rstar = math.sqrt(float(norms2[max(k, 0)]))
-        r = rstar * (1.0 - rng.random(size)) ** (-1.0 / self.beta)
-        return torus.ball_point_count(self.d, self.level_to_N(n), r)
+        self._check_above(n, threshold)
+        rstar = math.sqrt(float(self._geometry(n)[max(math.floor(threshold), 0)]))
+        # r = rstar (1 - u)^(-1/beta), in place on the uniforms u
+        x = rng.random(() if size is None else size)
+        np.multiply(rstar, np.power(np.subtract(1.0, x, out=x), -1.0 / self.beta, out=x), out=x)
+        return torus.ball_point_count(self.d, self.level_to_N(n), x)
 
     def h(self, x):
         return torus.h_lattice(self.d, self.beta, x)
@@ -363,12 +397,6 @@ class DiscreteGrid(Scheme):
             return 0.0
         return n / self.m
 
-    def sum_indices(self, n, rng, size):
-        """Index sums of n draws per replica, via multinomial counts (exact law)."""
-        index = np.arange(self.m + 1)
-        blocks = _row_blocks(lambda shape: rng.multinomial(n, self.pmf, size=shape[0]), self.m + 1, size)
-        return np.concatenate([np.empty(0, dtype=np.int64), *(counts @ index for counts in blocks)])
-
     def tail(self, n, y):
         # the values are increasing, so vals > y is the suffix from searchsorted(vals, y, "right")
         vals = np.arange(self.m + 1) * self.grid_step(n)
@@ -376,18 +404,16 @@ class DiscreteGrid(Scheme):
         return upper[np.searchsorted(vals, y, side="right")][()]
 
     def sample_above(self, n, threshold, rng, size=None):
-        self.check_level(n)
+        self._check_above(n, threshold)
         vals = np.arange(self.m + 1) * self.grid_step(n)
         pmf = np.asarray(self.pmf)
         # zero-mass values are never drawn, so the last kept value is the top of the support
         keep = (vals > threshold) & (pmf > 0.0)
-        if not keep.any():
-            raise ValueError("no pmf mass above threshold")
         mass = pmf[keep]
         cdf = np.cumsum(mass / mass.sum())
-        # a cdf summing below 1 leaves uniforms past its end: they take the top kept value
-        idx = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"), len(mass) - 1)
-        return vals[keep][idx]
+        x = rng.random(() if size is None else size)
+        # a cdf summing below 1 leaves uniforms past its end: mode="clip" gives them the top kept value
+        return np.take(vals[keep], np.searchsorted(cdf, x, side="right"), mode="clip", out=x)[()]
 
     def h(self, x):
         raise ValueError("DiscreteGrid has no shape density h (oracle-only scheme)")
@@ -403,12 +429,17 @@ class DiscreteGrid(Scheme):
 # replicated row sums
 
 
-def sample_sums(spec: Scheme, n: int, count: int, rng: np.random.Generator):
-    """`count` independent row sums S_n = W_1 + ... + W_n, drawn in row blocks."""
+def sample_sums(spec: Scheme, n: int, count: int, seed) -> np.ndarray:
+    """`count` independent row sums S_n = W_1 + ... + W_n, one stream per row block (see `_map_blocks`).
+
+    `seed` is an int, a SeedSequence or a Generator.  DiscreteGrid rows are multinomial index counts.
+    """
     if isinstance(spec, DiscreteGrid):
-        return spec.sum_indices(n, rng, count) * spec.grid_step(n)
-    sums = [w.sum(axis=1) for w in _row_blocks(partial(spec.sample, n, rng), n, count)]
-    return np.concatenate([np.empty(0), *sums])
+        index, step = np.arange(spec.m + 1), spec.grid_step(n)
+        width, row_sums = spec.m + 1, lambda rng, rows: (rng.multinomial(n, spec.pmf, size=rows) @ index) * step
+    else:
+        width, row_sums = n, lambda rng, rows: spec.sample(n, rng, (rows, n)).sum(axis=1)
+    return np.concatenate([np.empty(0), *_map_blocks(row_sums, width, count, seed)])
 
 
 def lln_deviation(
@@ -424,8 +455,7 @@ def lln_deviation(
     if samples < 100:
         raise ValueError("need at least 100 samples")
     mu, _ = spec.mu_n(n)
-    rng = np.random.default_rng(seed)
-    s = sample_sums(spec, n, samples, rng)
+    s = sample_sums(spec, n, samples, seed)
     hits = int(np.count_nonzero(np.abs(s - n * mu) > zeta * n))
     return _binomial_result(hits, samples, method="lln")
 

@@ -53,7 +53,7 @@ def test_a1_oracle_equivalence():
         lo, hi = (i0 - 0.5) * step, (i1 + 0.5) * step  # half-step offsets dodge boundary ties
         exact = float(dist[i0 : i1 + 1].sum())
         samples = 1_000_000
-        sums = spec.sum_indices(n, rng, samples) * step
+        sums = bj.sample_sums(spec, n, samples, rng)
         p_hat = float(np.count_nonzero((sums >= lo) & (sums <= hi))) / samples
         se = math.sqrt(exact * (1.0 - exact) / samples)
         good += abs(p_hat - exact) <= 4.0 * se + 1e-12

@@ -1,8 +1,11 @@
 """The row-block sampling driver: every replicated-sampling result equals the
-same computation done in one shot on the same Generator, bit for bit."""
+same computation done one shot per block stream, bit for bit, whatever the
+number of worker threads."""
 
 import contextlib
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from bigjumps import (
     sample_sums,
     uniform_h,
 )
+from bigjumps import schemes
 from bigjumps.rare_event import _decompose
 from bigjumps.schemes import _BLOCK
 
@@ -36,10 +40,20 @@ SCHEMES = {
 }
 
 
-def _one_shot_sums(spec, n, count, rng):
+def _block_streams(seed, width, count):
+    """(Generator, rows) of each row block: block b draws from SeedSequence(seed, spawn_key=(b,))."""
+    rows = _BLOCK // width
+    for b, start in enumerate(range(0, count, rows)):
+        stream = np.random.SeedSequence(seed, spawn_key=(b,))
+        yield np.random.Generator(np.random.PCG64(stream)), min(rows, count - start)
+
+
+def _one_shot_sums(spec, n, count, seed):
     if isinstance(spec, DiscreteGrid):
-        return rng.multinomial(n, spec.pmf, size=count) @ np.arange(spec.m + 1) * spec.grid_step(n)
-    return spec.sample(n, rng, size=(count, n)).sum(axis=1)
+        index = np.arange(spec.m + 1)
+        blocks = _block_streams(seed, spec.m + 1, count)
+        return np.concatenate([rng.multinomial(n, spec.pmf, size=rows) @ index for rng, rows in blocks]) * spec.grid_step(n)
+    return np.concatenate([spec.sample(n, rng, size=(rows, n)) for rng, rows in _block_streams(seed, n, count)]).sum(axis=1)
 
 
 @st.composite
@@ -60,8 +74,8 @@ def _sum_cases(draw):
 @given(_sum_cases())
 def test_sample_sums_match_one_shot_reference(case):
     spec, n, count, seed = case
-    got = sample_sums(spec, n, count, np.random.default_rng(seed))
-    want = _one_shot_sums(spec, n, count, np.random.default_rng(seed))
+    got = sample_sums(spec, n, count, seed)
+    want = _one_shot_sums(spec, n, count, seed)
     assert got.shape == (count,)
     assert np.array_equal(got, want)
 
@@ -74,12 +88,12 @@ def test_jump_sum_window_prob_matches_one_shot(name, k, sigma):
     n = 65
     samples = 3 * (_BLOCK // k) + 5
     est = jump_sum_window_prob(spec, k, n, *sigma, samples, seed=7)
-    rng = np.random.default_rng(7)
     margin = sigma[0] - (k - 1)
     if margin > 0.0:
-        t_k = spec.sample_above(n, margin * n * (1.0 - 1e-12), rng, (samples, k)).sum(axis=1)
+        draws = [spec.sample_above(n, margin * n * (1.0 - 1e-12), rng, (rows, k)) for rng, rows in _block_streams(7, k, samples)]
     else:
-        t_k = spec.sample(n, rng, size=(samples, k)).sum(axis=1)
+        draws = [spec.sample(n, rng, size=(rows, k)) for rng, rows in _block_streams(7, k, samples)]
+    t_k = np.concatenate(draws).sum(axis=1)
     assert est.hits == np.count_nonzero((t_k >= n * sigma[0]) & (t_k <= n * sigma[1]))
 
 
@@ -96,7 +110,7 @@ def test_conditional_profiles_match_one_shot_rejection(name, n, target):
         cond = conditional_profiles(
             spec, n, window, eps=0.1, target_hits=target, max_samples=max_samples, seed=3, mu_ref=mu
         )
-    w = spec.sample(n, np.random.default_rng(3), size=(max_samples, n))
+    w = np.concatenate([spec.sample(n, rng, size=(rows, n)) for rng, rows in _block_streams(3, n, max_samples)])
     s = w.sum(axis=1)
     lo, hi = window.interval(n, mu)
     accepted = []
@@ -135,9 +149,47 @@ _SEEDED = {
 }
 
 
+def _fields_equal(one, two):
+    return all(np.array_equal(getattr(one, f.name), getattr(two, f.name)) for f in dataclasses.fields(one))
+
+
 @pytest.mark.parametrize("name", list(_SEEDED))
 def test_seed_may_be_a_generator(name):
-    # every estimator seeds with default_rng(seed), so a Generator seeded with s draws the stream of s
-    got, want = _SEEDED[name](np.random.default_rng(11)), _SEEDED[name](11)
-    for field in dataclasses.fields(want):
-        assert np.array_equal(getattr(got, field.name), getattr(want, field.name)), field.name
+    # a Generator seeds each call from its own state: a fresh one repeats a result, a reused one moves on
+    first, again = _SEEDED[name](np.random.default_rng(11)), _SEEDED[name](np.random.default_rng(11))
+    assert _fields_equal(first, again)
+    rng = np.random.default_rng(11)
+    _SEEDED[name](rng)
+    assert not _fields_equal(first, _SEEDED[name](rng))
+
+
+_ROWS_64 = _BLOCK // 64  # rows per block at n = 64
+_ACROSS_BLOCKS = {
+    "estimate_naive": lambda: estimate_naive(_TP, 64, RhoWindow(0.5, ("fixed", 0.4)), _TP.mu_n(64)[0], 11 * _ROWS_64 + 3, seed=5),
+    "lln_deviation": lambda: lln_deviation(SCHEMES["lattice_ball"], 65, 0.3, 11 * _ROWS_64 + 3, seed=5),
+    "jump_sum_boosted": lambda: jump_sum_window_prob(_TP, 2, 65, 1.4, 1.6, 7 * (_BLOCK // 2) + 3, seed=5),
+    "jump_sum_plain": lambda: jump_sum_window_prob(_TP, 2, 65, 0.5, 1.5, 7 * (_BLOCK // 2) + 3, seed=5),
+    # about 150 hits per block of 1024 rows: the target falls in the fifth block
+    "conditional_target": lambda: conditional_profiles(
+        _TP, 64, RhoWindow(0.5, ("fixed", 0.4)), eps=0.1, target_hits=700, max_samples=11 * _ROWS_64 + 3, seed=5
+    ),
+    "conditional_exhausted": lambda: conditional_profiles(
+        _TP, 64, RhoWindow(0.5, ("fixed", 0.4)), eps=0.1, target_hits=10**6, max_samples=11 * _ROWS_64 + 3, seed=5
+    ),
+}
+
+
+@pytest.mark.filterwarnings("ignore:sigma window", "ignore:collected")
+@pytest.mark.parametrize("name", list(_ACROSS_BLOCKS))
+def test_results_do_not_depend_on_worker_count(name, monkeypatch):
+    results = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(schemes, "_WORKERS", workers)
+        results.append(_ACROSS_BLOCKS[name]())
+    assert _fields_equal(results[0], results[1]) and _fields_equal(results[0], results[2])
+
+
+def test_import_starts_no_thread():
+    code = "import threading, bigjumps; print(threading.active_count())"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "1"

@@ -174,6 +174,66 @@ def test_pareto_sampler_rejects_level_at_or_below_support_floor():
     assert tp.sample_above(4, 0.0, rng, 4).max() <= 4.0
 
 
+@pytest.mark.parametrize(
+    "spec,n,top",
+    [
+        (TP, 100, 100.0),
+        (SmoothCutoff(c=1.5, alpha=1.5), 100, 100.0),
+        (LatticeBall(d=1, beta=1.5), 101, 100.0),
+        (DiscreteGrid(pmf=(0.1,) * 10 + (0.0,)), 100, 90.0),
+    ],
+    ids=["pareto", "smooth", "lattice", "grid_zero_top"],
+)
+def test_sample_above_rejects_an_empty_event(spec, n, top):
+    """At or above the top of the support, W(n) > threshold has probability 0: no draw exists."""
+    rng = np.random.default_rng(0)
+    for threshold in (float(n), n + 0.5, top):
+        assert spec.tail(n, threshold) == 0.0
+        with pytest.raises(ValueError, match="empty event"):
+            spec.sample_above(n, threshold, rng, 3)
+    below = spec.sample_above(n, top - 0.5, rng, 3)
+    assert np.all((below > top - 0.5) & (below <= top))
+
+
+def _out_of_place(spec, n, threshold, u):
+    """The inverse CDF of each scheme written as one out-of-place expression."""
+    if isinstance(spec, TruncatedPareto):
+        ta, na = max(threshold, spec.x0) ** -spec.alpha, float(n) ** -spec.alpha
+        return np.minimum((ta - u * (ta - na)) ** (-1.0 / spec.alpha), float(n))
+    if isinstance(spec, SmoothCutoff):
+        m = max(-float(n) * math.log1p(-threshold / float(n)), spec.x0)
+        return n * (1.0 - np.exp(-(m * (1.0 - u) ** (-1.0 / spec.alpha)) / n))
+    if isinstance(spec, LatticeBall):
+        rstar = math.sqrt(float(spec._geometry(n)[max(math.floor(threshold), 0)]))
+        return schemes.torus.ball_point_count(spec.d, spec.level_to_N(n), rstar * (1.0 - u) ** (-1.0 / spec.beta))
+    vals = np.arange(spec.m + 1) * spec.grid_step(n)
+    keep = (vals > threshold) & (np.asarray(spec.pmf) > 0.0)
+    mass = np.asarray(spec.pmf)[keep]
+    idx = np.searchsorted(np.cumsum(mass / mass.sum()), u, side="right")
+    return vals[keep][np.minimum(idx, len(mass) - 1)]
+
+
+@pytest.mark.parametrize(
+    "spec,n",
+    [
+        (TP, 1000),
+        (SmoothCutoff(c=1.5, alpha=1.5), 1000),
+        (LatticeBall(d=2, beta=3.0), 121),
+        (DiscreteGrid(pmf=(0.1,) * 10 + (0.0,)), 100),
+    ],
+    ids=["pareto", "smooth", "lattice", "grid"],
+)
+@pytest.mark.parametrize("size", [None, 7, (3, 5)], ids=["scalar", "1d", "2d"])
+@pytest.mark.parametrize("where", [-1.0, 0.3], ids=["void", "above"])
+def test_in_place_sample_above_matches_out_of_place_formula(spec, n, size, where):
+    threshold = where if where < 0.0 else where * n
+    got = spec.sample_above(n, threshold, np.random.default_rng(9), size)
+    # a 0-d array of uniforms gives NumPy scalars, as the in-place code does
+    want = _out_of_place(spec, n, threshold, np.asarray(np.random.default_rng(9).random(size)))
+    assert type(got) is type(want)
+    assert np.asarray(got).dtype == np.asarray(want).dtype and np.array_equal(got, want)
+
+
 TAIL_SCHEMES = (
     TP,
     SmoothCutoff(c=1.5, alpha=1.5),
@@ -378,8 +438,7 @@ class TestDiscreteGrid:
             p[i] * p[j] for i in range(3) for j in range(3) if (i + j) * dg.grid_step(2) == 2.0
         )
         assert exact == pytest.approx(5 / 16)
-        rng = np.random.default_rng(123)
-        sums = dg.sum_indices(2, rng, 200_000) * dg.grid_step(2)
+        sums = sample_sums(dg, 2, 200_000, 123)
         emp = np.mean(sums == 2.0)
         assert abs(emp - 5 / 16) < 4 * math.sqrt(5 / 16 * 11 / 16 / 200_000)
 
@@ -448,13 +507,14 @@ class TestWindowAssumptionTrend:
 
 class TestBatchesAndConfig:
     def test_worker_split_determinism(self, monkeypatch):
-        # how the rows are split into blocks must not change the stream
-        specs = (TP, DiscreteGrid(pmf=(0.5, 0.25, 0.25)))
-        whole = [sample_sums(spec, 16, 1000, np.random.default_rng(5)) for spec in specs]
-        monkeypatch.setattr(schemes, "_BLOCK", 48)
-        split = [sample_sums(spec, 16, 1000, np.random.default_rng(5)) for spec in specs]
-        for one, two in zip(whole, split):
-            assert np.array_equal(one, two)
+        # how the row blocks are split among worker threads must not change any sum
+        cases = ((TP, 16), (SmoothCutoff(1.5, 1.5), 16), (LatticeBall(1, 1.5), 17), (DiscreteGrid(pmf=(0.5, 0.25, 0.25)), 16))
+        sums = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(schemes, "_WORKERS", workers)
+            sums.append([sample_sums(spec, n, 30_000, 5) for spec, n in cases])  # 8 blocks of 4096 rows at n = 16
+        for one, two, three in zip(*sums):
+            assert np.array_equal(one, two) and np.array_equal(one, three)
 
     def test_config_roundtrip(self, tmp_path):
         for spec in (TP, SmoothCutoff(2.0, 1.2), LatticeBall(2, 3.0), DiscreteGrid(pmf=(0.5, 0.25, 0.25))):
