@@ -4,7 +4,8 @@ The target event is S_n in I_n = [n(rho1 + mu), n(rho2 + mu)] for a window
 (rho1, rho2) shrinking to a non-integer excess rho.  Estimators:
 
 estimate_naive        hit counting over replicated row sums.
-exact_dp              exact n-fold convolution oracle for DiscreteGrid schemes.
+exact_dp              exact window mass for DiscreteGrid schemes by one exponentially
+                      tilted FFT, exact to round-off relative to the window mass.
 predicted_window_prob the asymptotic prediction C(n,k) * width * n^(-alpha k) * K.
 jump_sum_window_prob  P(T_k in [n s1, n s2]) for the k-fold sum alone, with
                       importance boosting (all coordinates conditioned big).
@@ -27,6 +28,8 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.fft import irfft, next_fast_len, rfft
+from scipy.optimize import brentq
 from scipy.stats import chi2 as _chi2
 
 from .condensation import KrhoResult, jump_marginal_mass
@@ -192,13 +195,17 @@ def estimate_naive(
     return _binomial_result(hits, samples, method="naive")
 
 
-def exact_sum_distribution(spec: DiscreteGrid, n: int) -> np.ndarray:
-    """Exact pmf of the index sum of n draws (support 0..n*m), by rolling convolution."""
+def _check_grid(spec: DiscreteGrid, n: int) -> None:
     if not isinstance(spec, DiscreteGrid):
         raise TypeError("exact convolution oracle requires a DiscreteGrid scheme")
+    if n * spec.m > _DP_CELL_CAP:
+        raise ValueError(f"n*m = {n * spec.m} exceeds the {_DP_CELL_CAP} cell cap")
+
+
+def exact_sum_distribution(spec: DiscreteGrid, n: int) -> np.ndarray:
+    """Exact pmf of the index sum of n draws (support 0..n*m), by rolling convolution."""
+    _check_grid(spec, n)
     m = spec.m
-    if n * m > _DP_CELL_CAP:
-        raise ValueError(f"n*m = {n * m} exceeds the {_DP_CELL_CAP} cell cap")
     pmf = np.asarray(spec.pmf)
     dist = np.zeros(n * m + 1)
     dist[0] = 1.0
@@ -210,19 +217,43 @@ def exact_sum_distribution(spec: DiscreteGrid, n: int) -> np.ndarray:
 
 
 def exact_dp(spec: DiscreteGrid, n: int, interval: tuple[float, float]) -> float:
-    """Exact P(S_n in [lo, hi]) for a DiscreteGrid scheme (value units)."""
+    """Exact P(S_n in [lo, hi]) for a DiscreteGrid scheme (value units), by one exponentially tilted FFT.
+
+    The index pmf is tilted to p_j e^(theta j) / M(theta), theta putting the tilted mean of the sum at
+    the window point nearest n * mean (0 when the window holds the mean), convolved n-fold by one rfft
+    raised to the n-th power, and untilted by M(theta)^n e^(-theta s) on the window cells s only: the
+    FFT round-off is relative to the window mass, not to the mode of S_n (Keich 2005, J. Comput. Biol.).
+    """
+    _check_grid(spec, n)
     lo, hi = interval
-    dist = exact_sum_distribution(spec, n)
     step = spec.grid_step(n)
     if step == 0.0:
-        return float(dist[0]) if lo <= 0.0 <= hi else 0.0
+        return 1.0 if lo <= 0.0 <= hi else 0.0
     scale = max(abs(lo), abs(hi), step)
     i0 = int(np.ceil((lo - 1e-12 * scale) / step))
     i1 = int(np.floor((hi + 1e-12 * scale) / step))
-    i0, i1 = max(i0, 0), min(i1, n * spec.m)
+    j, (first, last) = np.arange(spec.m + 1), np.flatnonzero(spec.pmf)[[0, -1]]
+    i0, i1 = max(i0, n * first), min(i1, n * last)  # no mass outside n * [first, last]
     if i1 < i0:
         return 0.0
-    return float(dist[i0 : i1 + 1].sum())
+    logp = np.log(spec.pmf, out=np.full(spec.m + 1, -np.inf), where=np.asarray(spec.pmf) > 0.0)
+
+    def tilt(theta, c):  # p_j e^(theta (j - c)) / M and log M, M the sum of the numerators
+        a = logp + theta * (j - c)
+        w = np.exp(a - a.max())
+        return w / w.sum(), a.max() + math.log(w.sum())
+
+    mean = n * float(np.dot(spec.pmf, j))
+    target, theta = min(max(mean, i0), i1), 0.0
+    if target != mean:
+        # half a cell inside the support, the tilted mean needs |theta| < 2000 for any pmf in double range
+        tau = min(max(target, n * first + 0.5), n * last - 0.5) / n
+        theta = brentq(lambda t: tilt(t, 0)[0] @ j - tau, -2000.0, 2000.0)
+    c = round(target / n)  # exponents centred next to the tilted mean cancel no large theta * j
+    pmf, log_m = tilt(theta, c)
+    size = next_fast_len(n * spec.m + 1, real=True)
+    conv = irfft(rfft(pmf, size) ** n, size)[i0 : i1 + 1]
+    return max(float(conv @ np.exp(n * log_m - theta * (np.arange(i0, i1 + 1) - n * c))), 0.0)
 
 
 def predicted_window_prob(alpha: float, n: int, window: RhoWindow, krho: KrhoResult) -> float:

@@ -163,11 +163,6 @@ class Scheme:
         """Exact mean E[W(n)] as (value, 0.0): a float and a zero standard error."""
         raise NotImplementedError
 
-    @property
-    def mu_limit(self) -> float | None:
-        """Limit of the row means as n -> inf, None when the scheme has no closed form for it."""
-        return None
-
     def check_level(self, n: int) -> None:
         if n < 1:
             raise ValueError(f"scheme level n must be >= 1, got {n}")
@@ -238,10 +233,6 @@ class TruncatedPareto(Scheme):
         raw = (c / (a - 1.0)) * (x0 ** (1.0 - a) - float(n) ** (1.0 - a))
         return raw / self._norm(n), 0.0
 
-    @property
-    def mu_limit(self):
-        return (self.c / (self.alpha - 1.0)) * self.x0 ** (1.0 - self.alpha)
-
     def spec_dict(self):
         return {"shape": "truncated_pareto", "c": self.c, "alpha": self.alpha}
 
@@ -295,11 +286,6 @@ class SmoothCutoff(Scheme):
         n, x0 = float(n), self.x0
         upper, _ = integrate.quad(lambda x: math.exp(-x / n) * x**-self.alpha, x0, math.inf, epsabs=0.0, epsrel=1e-12)
         return -n * math.expm1(-x0 / n) + self.c * upper, 0.0
-
-    @property
-    def mu_limit(self):
-        # E[W] of the underlying Pareto; phi_n(x) -> x pointwise
-        return self.alpha * self.c ** (1.0 / self.alpha) / (self.alpha - 1.0)
 
     def spec_dict(self):
         return {"shape": "smooth_cutoff", "c": self.c, "alpha": self.alpha}

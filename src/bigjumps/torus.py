@@ -42,7 +42,7 @@ __all__ = [
 
 # hard cap on total ball-point visits per graph build
 _MAX_BALL_VISITS = 100_000_000
-# ball visits per in-degree scatter block
+# ball visits per in-degree scatter block, and radii per ball_point_count chunk
 _BLOCK = 1 << 16
 _MAX_VERTICES = 20_000_000
 
@@ -106,11 +106,11 @@ def _lattice_points(d: int, N: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _offset_table(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-1 nonzero offsets of [-N, N]^d sorted by squared torus norm, and those norms.
+def _offset_table(d: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n-1 nonzero offsets of [-N, N]^d sorted by squared torus norm, those norms, and their counts.
 
-    Every open ball is a union of whole equal-norm groups, so the order
-    within a group does not matter.  Both arrays are read-only.
+    Every open ball is a union of whole equal-norm groups, so the order within a group does not matter.
+    cnt[m] = #{norms <= m} for m <= min(d N^2, n-1), int32 and never longer than the offsets; all read-only.
     """
     n = (2 * N + 1) ** d
     if n > _MAX_VERTICES:
@@ -119,29 +119,36 @@ def _offset_table(d: int, N: int) -> tuple[np.ndarray, np.ndarray]:
     norms2 = np.einsum("ij,ij->i", points, points)
     order = np.argsort(norms2)[1:]  # drop the zero offset (the centre)
     offsets, norms2 = np.take(points, order, axis=0), norms2[order].astype(np.float64)
-    offsets.flags.writeable = norms2.flags.writeable = False
-    return offsets, norms2
+    cnt = np.searchsorted(norms2, np.arange(min(d * N * N, n - 1) + 1), side="right").astype(np.int32)
+    offsets.flags.writeable = norms2.flags.writeable = cnt.flags.writeable = False
+    return offsets, norms2, cnt
 
 
 def sorted_offset_norms2(d: int, N: int) -> np.ndarray:
-    """Sorted squared torus norms of the n-1 nonzero offsets in [-N, N]^d.
-
-    One cached array per (d, N); every ball count is then a binary search.
-    """
+    """Sorted squared torus norms of the n-1 nonzero offsets in [-N, N]^d (one cached array per (d, N))."""
     return _offset_table(d, N)[1]
 
 
 def ball_point_count(d: int, N: int, R):
     """Number of lattice points w != 0 with torus distance D(0, w) < R (open ball), elementwise.
 
-    The one open-ball rule: R^2 binary-searched over the sorted offset norms,
-    strict `<`.  Every radius must be > 0; an infinite one covers the torus.
-    A scalar R gives a NumPy integer.
+    The one open-ball rule: norms are integers, so the count is one table read, cnt[ceil(R^2) - 1],
+    and past the table a binary search of R^2 over the sorted norms.  Radii go in chunks of `_BLOCK`.
+    Every radius must be > 0; an infinite one covers the torus.  A scalar R gives a NumPy integer.
     """
     R = np.asarray(R, dtype=float)
     if not np.all(R > 0.0):
         raise ValueError("radius must be positive")
-    return np.searchsorted(sorted_offset_norms2(d, N), R * R, side="left")[()]
+    _, norms2, cnt = _offset_table(d, N)
+    flat, out = R.reshape(-1), np.empty(R.size, dtype=np.intp)
+    for a in range(0, R.size, _BLOCK):
+        r2 = np.square(flat[a : a + _BLOCK])
+        far = np.flatnonzero(r2 > len(cnt))
+        # an R^2 that underflows to 0 gives index -1, which mode="clip" reads as cnt[0] = 0
+        idx = np.ceil(np.minimum(r2, len(cnt), out=r2), out=r2).astype(np.intp) - 1
+        out[a : a + _BLOCK] = cnt.take(idx, mode="clip")
+        out[a + far] = np.searchsorted(norms2, np.square(flat[a + far]), side="left")
+    return out.reshape(R.shape)[()]
 
 
 def _sample_radii(beta: float, rng: np.random.Generator, size):
@@ -272,6 +279,11 @@ def _g_table(d: int) -> tuple[PchipInterpolator, PchipInterpolator]:
     return interp, interp.derivative()
 
 
+def _inside_cube(d: int, r, power: int):
+    """V_d (sqrt(d)/2)^d r^power: g (power d) and g'/d (power d-1) up to r = 1/sqrt(d), where the ball is inside the cube."""
+    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0) * (math.sqrt(d) / 2.0) ** d * np.maximum(r, 0.0) ** power
+
+
 def g_eval(d: int, r):
     """g(r) = Vol(B(0, (sqrt(d)/2) r) ∩ unit cube); g(r) = 1 for r >= 1.  A scalar r gives a NumPy float64."""
     r = np.asarray(r, dtype=float)
@@ -280,7 +292,7 @@ def g_eval(d: int, r):
     elif d == 2:
         out = _g_d2(r)
     else:
-        out = np.where(r >= 1.0, 1.0, np.where(r <= 0.0, 0.0, _g_table(d)[0](np.clip(r, 0.0, 1.0))))
+        out = np.where(r >= 1.0, 1.0, np.where(r <= 1.0 / math.sqrt(d), _inside_cube(d, r, d), _g_table(d)[0](np.clip(r, 0.0, 1.0))))
     return out[()]
 
 
@@ -295,7 +307,7 @@ def g_prime(d: int, r):
         dA = np.where(a <= 0.5, 2.0 * np.pi * a, 2.0 * np.pi * a - 8.0 * a * np.arccos(np.minimum(0.5 / np.maximum(a, 1e-300), 1.0)))
         out = np.where(inside, dA / math.sqrt(2.0), 0.0)
     else:
-        out = np.where(inside, _g_table(d)[1](np.clip(r, 0.0, 1.0)), 0.0)
+        out = np.where(inside, np.where(r <= 1.0 / math.sqrt(d), d * _inside_cube(d, r, d - 1), _g_table(d)[1](np.clip(r, 0.0, 1.0))), 0.0)
     return out[()]
 
 
@@ -322,7 +334,7 @@ def lattice_tail_constant(d: int, beta: float) -> float:
 
     Derived from N = (n^(1/d) - 1)/2 and the radius tail: ((2N+1)/(N sqrt(d)))^beta
     -> (2/sqrt(d))^beta = (4/d)^(beta/2).  For d = 1 this is 2^beta, matching the
-    closed-form count W = 2*min(floor(R), N).
+    closed-form open-ball count W = 2*min(ceil(R) - 1, N).
     """
     return (4.0 / d) ** (beta / 2.0)
 

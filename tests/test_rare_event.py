@@ -101,6 +101,29 @@ class TestExactDp:
         dist = exact_sum_distribution(DiscreteGrid(pmf=(0.3, 0.2, 0.1, 0.4)), 64)
         assert abs(dist.sum() - 1.0) < 1e-10
 
+    # n keeps every cell of S_n above 1e-250, clear of subnormals in the rolling convolution
+    @pytest.mark.parametrize("pmf,n", [((0.3, 0.2, 0.1, 0.4), 240), ((0.05, 0.6, 0.0, 0.2, 0.15, 0.0), 160),
+                                       ((0.0, 0.9, 0.1), 240)])
+    def test_tilted_fft_matches_rolling_convolution(self, pmf, n):
+        dg = DiscreteGrid(pmf=pmf)
+        dist, step = exact_sum_distribution(dg, n), dg.grid_step(n)
+        mean = int(n * dg.mu_n(n)[0] / step)  # the mean of S_n in cells
+        lo, hi = np.flatnonzero(dist)[[0, -1]]
+        below, above = np.cumsum(dist) < 1e-100, np.cumsum(dist[::-1])[::-1] < 1e-100
+        below_mean, above_mean = (lo + mean) // 2, (mean + hi) // 2
+        windows = [(lo, hi), (mean - 20, mean + 20), (mean, mean), (below_mean, below_mean + 30),
+                   (above_mean, above_mean + 50), (lo, lo), (hi, hi), (lo, lo + 5), (hi - 5, hi)]
+        # the tails of mass below 1e-100, wherever there is one
+        windows += [(lo, np.flatnonzero(below)[-1])] if below[lo] else []
+        windows += [(np.flatnonzero(above)[0], hi)] if above[hi] else []
+        assert len(windows) > 9
+        for a, b in windows:
+            want = math.fsum(dist[a : b + 1])
+            assert want > 0.0, (a, b)
+            assert exact_dp(dg, n, (a * step, b * step)) == pytest.approx(want, rel=1e-11, abs=0.0), (a, b)
+        # below the support of S_10, n * min index = 10 cells up, the mass is exactly zero
+        assert exact_dp(DiscreteGrid(pmf=(0.0, 0.5, 0.5)), 10, (0.0, 45.0)) == 0.0
+
     def test_rejects_non_discrete(self):
         with pytest.raises(TypeError):
             exact_dp(TP, 8, (0.0, 1.0))

@@ -65,9 +65,6 @@ class TestTruncatedPareto:
         assert se == 0.0
         assert got == pytest.approx(want, rel=1e-6)
 
-    def test_mu_limit(self):
-        assert TP.mu_limit == pytest.approx(3.0)
-
     def test_ks_against_analytic_cdf(self):
         rng = np.random.default_rng(7)
         n = 10_000

@@ -84,6 +84,35 @@ class TestBallCount:
         assert counts[-1].tolist() == [0, 81 * 81 - 1]  # R = 1 is open; an infinite radius covers the torus
         assert np.ndim(ball_point_count(2, 40, 2.7)) == 0
 
+    @pytest.mark.parametrize("d,N", [(1, 1), (1, 512), (1, 100000), (2, 8), (2, 512), (3, 4), (3, 20)])
+    def test_table_read_equals_binary_search(self, d, N):
+        # heavy-tailed radii, the integer and sqrt-integer boundaries from both sides, 1e9, inf and
+        # radii whose square underflows; (1, 100000) keeps a table shorter than d N^2, so its far radii fall back
+        rng = np.random.default_rng(d * 1000 + N)
+        top = min(d * N * N, (2 * N + 1) ** d - 1)  # the last squared norm the count table holds
+        k = np.concatenate([np.arange(1.0, 5001.0), top + np.arange(-2.0, 3.0), d * N * N + np.arange(-1.0, 2.0)])
+        k = k[k > 0.0]
+        special = [1.0, math.sqrt(2.0), 2.0, 1e9, np.inf, 1e-170, 5e-324]
+        radii = np.concatenate([(1.0 - rng.random(1 << 20)) ** (-1.0 / 1.5), special, np.sqrt(k),
+                                np.nextafter(k, 0.0), np.nextafter(k, np.inf), np.sqrt(np.nextafter(k, np.inf))])
+        norms2 = torus.sorted_offset_norms2(d, N)
+        for R in (radii, radii[: 3 * 1001].reshape(3, 1001), np.array(2.5), 2.5, np.sqrt(2.0)):
+            want = np.searchsorted(norms2, np.asarray(R) * np.asarray(R), side="left")[()]
+            got = ball_point_count(d, N, R)
+            assert np.array_equal(got, want) and np.shape(got) == np.shape(want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype == np.intp
+
+    def test_d1_open_ball_closed_form(self):
+        # |x| < R on the integers: 2*min(ceil(R) - 1, N) points, so R = 3 counts +-1 and +-2 only
+        assert ball_point_count(1, 10, 3.0) == 4
+        radii = np.array([0.5, 1.0, 1.5, 2.0, 2.999, 3.0, 3.001, 9.5, 10.0, 10.5, 11.0, 1e6])
+        assert ball_point_count(1, 10, radii).tolist() == (2 * np.minimum(np.ceil(radii) - 1, 10)).tolist()
+
+    def test_empty_radius_array_builds_the_count_table(self):
+        torus._offset_table.cache_clear()
+        assert ball_point_count(2, 6, np.empty((0, 4))).shape == (0, 4)
+        assert torus._offset_table.cache_info().currsize == 1
+
     def test_rejects_nonpositive_radius(self):
         for radius in (-5.0, 0.0, np.nan):
             with pytest.raises(ValueError, match="positive"):
@@ -292,13 +321,30 @@ class TestGeometry:
         a = np.linspace(0.05, 0.5, 91)
         np.testing.assert_allclose(g_eval(d, 2.0 * a / math.sqrt(d)), unit_ball * a**d, rtol=2e-6)
 
+    @pytest.mark.parametrize("d,unit_ball", [(3, 4.0 / 3.0 * math.pi), (4, math.pi**2 / 2.0)])
+    def test_g_small_radius_is_closed_form(self, d, unit_ball):
+        # below r = 1/sqrt(d) the ball of radius a = sqrt(d) r / 2 lies inside the cube
+        for a in (0.001, 0.01):
+            r = 2.0 * a / math.sqrt(d)
+            assert g_eval(d, r) == pytest.approx(unit_ball * a**d, rel=1e-12, abs=0.0)
+            assert g_prime(d, r) == pytest.approx(unit_ball * d * a ** (d - 1) * math.sqrt(d) / 2.0, rel=1e-12, abs=0.0)
+        # and meets the table at r = 1/sqrt(d) to the table's accuracy
+        edge = 1.0 / math.sqrt(d)
+        below, above = g_eval(d, edge), g_eval(d, np.nextafter(edge, 1.0))
+        assert abs(above - below) <= 2e-6 * below
+
     def test_g_d4_matches_pointwise_recursion(self):
         def volume(d, a):
-            """Vol(B(0, a) ∩ unit cube) recursing point by point down to the d = 3 disk cross-section."""
+            """Vol(B(0, a) ∩ unit cube) recursing point by point down to the d = 3 disk cross-section.
+
+            A d = 3 ball of radius a <= 1/2 lies inside the cube, where its volume is closed-form.
+            """
             if a <= 0.0:
                 return 0.0
             if a * a >= d / 4.0:
                 return 1.0
+            if d == 3 and a <= 0.5:
+                return 4.0 / 3.0 * math.pi * a**3
             t = np.linspace(0.0, min(0.5, a), 513)
             s = np.sqrt(np.maximum(a * a - t * t, 0.0))
             if d == 3:
@@ -307,10 +353,10 @@ class TestGeometry:
                 cross = np.array([volume(d - 1, float(si)) for si in s])
             return float(2.0 * np.trapezoid(cross, t))
 
-        # table nodes, where g_eval returns the tabulated value; at d = 4 the ball radius is a = r
+        # table nodes, where the interpolant returns the tabulated value; at d = 4 the ball radius is a = r
         r = np.linspace(0.0, 1.0, torus._TABLE_GRID)[[300, 1000, 1500, 2048, 2600, 3000, 3500, 3900]]
         want = np.array([volume(4, float(ri)) for ri in r])
-        assert np.max(np.abs(g_eval(4, r) - want)) < 1e-9
+        assert np.max(np.abs(torus._g_table(4)[0](r) - want)) < 1e-9
 
 
 class TestLatticeShapeDensity:
