@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -54,6 +55,7 @@ class KrhoResult:
     method: str  # "closed_form" | "grid" | "monte_carlo"
     diverged: bool = False
     note: str = ""
+    levels: tuple = ()  # grid route: (level, h points, value) per refinement level
 
     def __post_init__(self):
         if not self.diverged and self.value < 0.0:
@@ -70,17 +72,29 @@ def uniform_h(x):
 # tanh-sinh nodes
 
 
-def _ts_nodes(level: int, a: float, b: float):
-    """tanh-sinh abscissae/weights on (a, b), clipped 1e-12 away from the ends."""
+@lru_cache(maxsize=16)
+def _ts_rule(level: int):
+    """A level's tanh-sinh abscissae and weights on (-1, 1), read-only; node j sits at t = j 2^-level."""
     step = 1.0 / (1 << level)
     t = np.arange(-int(3.6 / step), int(3.6 / step) + 1) * step
     sh = np.sinh(t)
     u = np.tanh(0.5 * np.pi * sh)
     w = 0.5 * np.pi * np.cosh(t) / np.cosh(0.5 * np.pi * sh) ** 2 * step
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
+
+
+def _ts_nodes(level: int, a, b, nodes=slice(None)):
+    """tanh-sinh abscissae/weights on (a, b), clipped 1e-12 away from the ends; `nodes` picks slots of the rule."""
+    u, w = _ts_rule(level)
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    x = mid + rad * u
-    x = np.clip(x, a + _EDGE, b - _EDGE)
-    return x, rad * w
+    return np.clip(mid + rad * u[nodes], a + _EDGE, b - _EDGE), rad * w[nodes]
+
+
+def _split(level: int) -> tuple[slice, slice]:
+    """Slots of a level's nodes that the level before had (even j: its node j is node 2j here), and the new ones."""
+    parity = int(3.6 * (1 << level)) % 2
+    return slice(parity, None, 2), slice(1 - parity, None, 2)
 
 
 def _edge_divergent(f: Callable, a: float, b: float) -> bool:
@@ -109,18 +123,28 @@ def _edge_divergent(f: Callable, a: float, b: float) -> bool:
     return False
 
 
-def _inner_k3(h: Callable, rho: float, x: np.ndarray, level: int) -> np.ndarray:
-    """int h(y) h(rho - x - y) dy over the slab's exact y-range for each outer node x, on x's level."""
-    lo, hi = np.maximum(0.0, rho - 1.0 - x), np.minimum(1.0, rho - x)
+def _inner_k3(h: Callable, rho: float, x: np.ndarray, level: int, prev: np.ndarray | None = None) -> np.ndarray:
+    """int h(y) h(rho - x - y) dy over the slab's y-range (rho - 1 - x, 1) for each outer node x, on x's level.
+
+    The range and its nodes are symmetric under y -> rho - x - y, so h(rho - x - y_j) is h(y_-j): one h call
+    per node.  Given `prev`, the values of the level before, its rows get half that plus the new (odd) nodes.
+    """
+    lo = rho - 1.0 - x
     out = np.zeros_like(x)
-    rows = np.flatnonzero(hi - lo > 2 * _EDGE)
-    step = _BLOCK >> (level + 3)  # a level has about 7.2 * 2^level nodes per row
-    for start in range(0, len(rows), step):
-        r = rows[start : start + step]
-        y, w = _ts_nodes(level, lo[r, None], hi[r, None])
-        vals = h(y.ravel()) * h((rho - x[r, None] - y).ravel())
-        # one BLAS dot per row, the same sums as np.dot row by row
-        out[r] = (vals.reshape(y.shape)[:, None, :] @ w[:, :, None])[:, 0, 0]
+    groups = [(slice(None), slice(None))]
+    if prev is not None:
+        old, new = _split(level)
+        out[old] = 0.5 * prev
+        groups = [(old, new), (new, slice(None))]
+    for rows, nodes in groups:
+        rows = np.arange(len(x))[rows][(1.0 - lo > 2 * _EDGE)[rows]]
+        step = max(1, _BLOCK // len(_ts_rule(level)[0][nodes]))
+        for start in range(0, len(rows), step):
+            r = rows[start : start + step]
+            y, w = _ts_nodes(level, lo[r, None], 1.0, nodes)
+            hy = h(y.ravel()).reshape(y.shape)
+            # one BLAS dot per row, the same sums as np.dot row by row
+            out[r] += ((hy * hy[:, ::-1])[:, None, :] @ w[:, :, None])[:, 0, 0]
     return out
 
 
@@ -128,34 +152,50 @@ def _slab_integral(h: Callable, rho: float, k: int, lo: float, hi: float, tol: f
     """Refining tanh-sinh estimate of the slab integral with x_1 restricted to (lo, hi).
 
     The integrand is h(x) h(rho - x) for k = 2, and h(x) times the inner
-    integral over x_2 on the same level for k = 3.  Returns (value, bound,
-    note): the note is empty unless a rule stopped the refinement short of
-    tol, and a divergent integral has value and bound inf.
+    integral over x_2 on the same level for k = 3.  A level evaluates h only
+    at its new nodes.  Returns (value, bound, note, levels): the note is
+    empty unless a rule stopped the refinement short of tol, a divergent
+    integral has value and bound inf, and levels holds (level, h points,
+    value) per level run.
     """
+    h_points = 0
+
+    def counted(y):
+        nonlocal h_points
+        h_points += len(y)
+        return h(y)
+
     if k == 2:
-        probe = lambda x: h(x) * h(rho - x)
-        f = lambda x, level: probe(x)
+        probe = lambda x: counted(x) * counted(rho - x)
     elif k == 3:
         # each coordinate stays above rho - 2 > 0, so the only possible
         # non-integrability is h's own upper edge
-        probe = h
-        f = lambda x, level: h(x) * _inner_k3(h, rho, x, level)
+        probe = counted
     else:
         raise ValueError("grid quadrature supports k <= 3; use monte_carlo for larger k")
     if _edge_divergent(probe, lo, hi):
-        return math.inf, math.inf, "endpoint probe found growth like dist^-p, p >= 1; integral treated as divergent"
-    values = []
+        return math.inf, math.inf, "endpoint probe found growth like dist^-p, p >= 1; integral treated as divergent", ()
+    values, levels, f, inner = [], [], None, None
     for level in range(2, _MAX_LEVEL[k] + 1):
         x, w = _ts_nodes(level, lo, hi)
-        values.append(float(np.dot(f(x, level), w)))
+        h_points = 0  # the endpoint probe's points count for no level
+        if f is None:
+            f = probe(x)
+        else:
+            (old, new), f_old, f = _split(level), f, np.empty_like(x)
+            f[old], f[new] = f_old, probe(x[new])
+        if k == 3:
+            inner = _inner_k3(counted, rho, x, level, inner)
+        values.append(float(np.dot(f if k == 2 else f * inner, w)))
+        levels.append((level, h_points, values[-1]))
         if len(values) >= 2 and abs(values[-1] - values[-2]) <= 0.5 * tol:
-            return values[-1], max(abs(values[-1] - values[-2]), 1e-16), ""
+            return values[-1], max(abs(values[-1] - values[-2]), 1e-16), "", tuple(levels)
         if len(values) > _DIVERGENCE_LEVELS:
             recent = values[-_DIVERGENCE_LEVELS - 1 :]
             if all(later > earlier * _DIVERGENCE_GROWTH for earlier, later in zip(recent, recent[1:])):
-                return math.inf, math.inf, "refinements grew > 1% over 6 levels; integral treated as divergent"
+                return math.inf, math.inf, "refinements grew > 1% over 6 levels; integral treated as divergent", tuple(levels)
     bound = abs(values[-1] - values[-2])
-    return values[-1], bound, f"max level {_MAX_LEVEL[k]} reached with bound {bound:.1e} > tol" if bound > tol else ""
+    return values[-1], bound, f"max level {_MAX_LEVEL[k]} reached with bound {bound:.1e} > tol" if bound > tol else "", tuple(levels)
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +309,8 @@ def condensation_constant(
         method = "grid" if k <= 3 else "monte_carlo"
 
     if method == "grid":
-        value, bound, note = _slab_integral(h, rho, k, max(0.0, rho - (k - 1)), 1.0, tol)
-        return KrhoResult(value=value, abs_error_bound=bound, method="grid", diverged=math.isinf(value), note=note)
+        value, bound, note, levels = _slab_integral(h, rho, k, max(0.0, rho - (k - 1)), 1.0, tol)
+        return KrhoResult(value, bound, "grid", diverged=math.isinf(value), note=note, levels=levels)
 
     if method == "monte_carlo":
         rng = np.random.default_rng(seed)
@@ -314,7 +354,7 @@ def jump_marginal_mass(h: Callable, rho: float, k: int, lo: float, hi: float, to
     lo, hi = max(lo, rho - (k - 1), 0.0), min(hi, rho, 1.0)
     if hi <= lo:
         return 0.0
-    value, _, note = _slab_integral(h, rho, k, lo, hi, tol)
+    value, _, note, _ = _slab_integral(h, rho, k, lo, hi, tol)
     if math.isinf(value):
         raise ValueError("marginal mass integral diverged")
     if note:

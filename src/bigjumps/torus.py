@@ -246,25 +246,30 @@ def _g_d2(r):
     return np.where(r >= 1.0, 1.0, _disk_square_area(r / math.sqrt(2.0)))
 
 
+# composite Simpson weights of 513 equispaced nodes on [0, 1]
+_SIMPSON = np.concatenate(([1.0], np.tile([4.0, 2.0], 256)[:-1], [1.0])) / (3.0 * 512)
+
+
 def _cube_ball_volume(d: int, a: float) -> float:
-    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) for d >= 3 by quadrature over the last axis.
+    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) for d >= 3 by composite Simpson over the last axis.
 
     The cross-section at height t is a (d-1)-ball of radius s = sqrt(a^2 - t^2)
-    in the unit (d-1)-cube: the closed-form disk area for d = 3, the cached
-    (d-1) table beyond.
+    in the unit (d-1)-cube: the closed-form disk area for d = 3, g of d - 1
+    beyond.
     """
     if a <= 0.0:
         return 0.0
     if a * a >= d / 4.0:
         return 1.0
-    t = np.linspace(0.0, min(0.5, a), 513)
+    top = min(0.5, a)
+    t = np.linspace(0.0, top, 513)
     s = np.sqrt(np.maximum(a * a - t * t, 0.0))
     if d == 3:
         # cross-section disk covers the unit square once s >= sqrt(2)/2
         cross = np.where(s * s >= 0.5, 1.0, _disk_square_area(np.minimum(s, math.sqrt(0.5))))
     else:
         cross = g_eval(d - 1, 2.0 * s / math.sqrt(d - 1))
-    return float(2.0 * np.trapezoid(cross, t))
+    return 2.0 * top * float(_SIMPSON @ cross)
 
 
 _TABLE_GRID = 4096
@@ -272,8 +277,8 @@ _TABLE_GRID = 4096
 
 @lru_cache(maxsize=8)
 def _g_table(d: int) -> tuple[PchipInterpolator, PchipInterpolator]:
-    """g on a uniform grid of [0, 1] for d >= 3 as a monotone interpolant, and its derivative."""
-    r = np.linspace(0.0, 1.0, _TABLE_GRID)
+    """g on a uniform grid of [1/sqrt(d), 1] for d >= 3, where the closed form hands over, as a monotone interpolant, and its derivative."""
+    r = np.linspace(1.0 / math.sqrt(d), 1.0, _TABLE_GRID)
     g = np.maximum.accumulate([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
     interp = PchipInterpolator(r, g, extrapolate=False)
     return interp, interp.derivative()
@@ -292,7 +297,7 @@ def g_eval(d: int, r):
     elif d == 2:
         out = _g_d2(r)
     else:
-        out = np.where(r >= 1.0, 1.0, np.where(r <= 1.0 / math.sqrt(d), _inside_cube(d, r, d), _g_table(d)[0](np.clip(r, 0.0, 1.0))))
+        out = np.where(r >= 1.0, 1.0, np.where(r <= 1.0 / math.sqrt(d), _inside_cube(d, r, d), _g_table(d)[0](np.clip(r, 1.0 / math.sqrt(d), 1.0))))
     return out[()]
 
 
@@ -307,7 +312,7 @@ def g_prime(d: int, r):
         dA = np.where(a <= 0.5, 2.0 * np.pi * a, 2.0 * np.pi * a - 8.0 * a * np.arccos(np.minimum(0.5 / np.maximum(a, 1e-300), 1.0)))
         out = np.where(inside, dA / math.sqrt(2.0), 0.0)
     else:
-        out = np.where(inside, np.where(r <= 1.0 / math.sqrt(d), d * _inside_cube(d, r, d - 1), _g_table(d)[1](np.clip(r, 0.0, 1.0))), 0.0)
+        out = np.where(inside, np.where(r <= 1.0 / math.sqrt(d), d * _inside_cube(d, r, d - 1), _g_table(d)[1](np.clip(r, 1.0 / math.sqrt(d), 1.0))), 0.0)
     return out[()]
 
 

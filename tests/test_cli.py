@@ -41,6 +41,21 @@ def test_krho_from_scheme(tmp_path, capsys, pareto_cfg):
     assert manifest["params"]["rho"] == 0.5
 
 
+@pytest.mark.parametrize(
+    "rho, k, text",
+    [
+        ("1.5", "2", '{\n  "abs_error_bound": 2.6645352591003757e-15,\n  "diverged": false,\n  "method": "grid",\n  "value": 5.237828008789242\n}\n'),
+        ("2.5", "3", '{\n  "abs_error_bound": 4.440892098500626e-16,\n  "diverged": false,\n  "method": "grid",\n  "value": 1.8002900088246407\n}\n'),
+    ],
+)
+def test_krho_output_bytes(tmp_path, capsys, pareto_cfg, rho, k, text):
+    # the refinement trace stays off stdout and krho.json, and the grid values keep their bits
+    code = run(["--outdir", str(tmp_path), "krho", "--scheme", str(pareto_cfg), "--rho", rho, "--k", k, "--tol", "1e-10"])
+    assert code == 0
+    assert capsys.readouterr().out == text
+    assert (tmp_path / "krho.json").read_text() == text
+
+
 def test_missing_required_flag_is_usage_error(tmp_path, capsys):
     code = run(["--outdir", str(tmp_path), "krho", "--h", "uniform", "--rho", "1.5", "--tol", "1e-6"])
     assert code == 2

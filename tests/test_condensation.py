@@ -13,9 +13,46 @@ from bigjumps import (
     sample_limit_jumps,
     uniform_h,
 )
-from bigjumps.condensation import _BLOCK, _inner_k3, _ts_nodes
+from bigjumps.condensation import _BLOCK, _MAX_LEVEL, _inner_k3, _split, _ts_nodes
 
 TP = TruncatedPareto(c=1.5, alpha=1.5)
+
+
+def reference_slab(h, rho, k, tol):
+    """The grid route of condensation_constant without reuse: every level evaluates h at all of its
+    nodes, and k = 3 in the direct form h(y) h(rho - x - y).  Returns (value, bound, note, h points,
+    the values of the levels)."""
+    lo, points, values = rho - (k - 1), 0, []
+
+    def counted(y):
+        nonlocal points
+        points += y.size
+        return h(y)
+
+    for level in range(2, _MAX_LEVEL[k] + 1):
+        x, w = _ts_nodes(level, lo, 1.0)
+        if k == 2:
+            f = counted(x) * counted(rho - x)
+        else:
+            inner = np.zeros_like(x)
+            rows = np.flatnonzero(1.0 - (rho - 1.0 - x) > 2e-12)
+            for a in range(0, len(rows), 16):
+                r = rows[a : a + 16]
+                y, wy = _ts_nodes(level, rho - 1.0 - x[r, None], 1.0)
+                vals = counted(y.ravel()) * counted((rho - x[r, None] - y).ravel())
+                inner[r] = np.sum(vals.reshape(y.shape) * wy, axis=1)
+            f = counted(x) * inner
+        values.append(float(np.dot(f, w)))
+        if len(values) >= 2 and abs(values[-1] - values[-2]) <= 0.5 * tol:
+            return values[-1], max(abs(values[-1] - values[-2]), 1e-16), "", points, values
+    bound = abs(values[-1] - values[-2])
+    note = f"max level {_MAX_LEVEL[k]} reached with bound {bound:.1e} > tol" if bound > tol else ""
+    return values[-1], bound, note, points, values
+
+
+@pytest.fixture(scope="module")
+def smooth_k3_reference():
+    return reference_slab(SmoothCutoff(c=1.5, alpha=1.5).h, 2.5, 3, 1e-8)
 
 
 class TestCondensationConstant:
@@ -176,22 +213,64 @@ class TestSlabIntegral:
 
     @pytest.mark.parametrize("level", [3, 6])
     def test_inner_k3_matches_row_loop(self, level):
-        # reference: one scalar-limit tanh-sinh rule per outer node
-        rho, h = 2.5, SmoothCutoff(c=1.5, alpha=1.5).h
-        x = _ts_nodes(level, rho - 2.0, 1.0)[0]
-        want = np.zeros_like(x)
-        for i, xi in enumerate(x):
-            lo, hi = max(0.0, rho - 1.0 - xi), min(1.0, rho - xi)
-            if hi - lo > 2e-12:
-                y, w = _ts_nodes(level, lo, hi)
-                want[i] = np.dot(h(y) * h(rho - xi - y), w)
-        assert np.array_equal(_inner_k3(h, rho, x, level), want)
+        # reference: one scalar-limit tanh-sinh rule per outer node, reading h(rho - x - y_j) as h(y_-j)
+        rho, sc = 2.5, SmoothCutoff(c=1.5, alpha=1.5).h
 
-    def test_k3_h_calls(self):
+        def row_loop(h, x, level, nodes=slice(None), direct=False):
+            want = np.zeros_like(x)
+            for i, xi in enumerate(x):
+                if 1.0 - (rho - 1.0 - xi) > 2e-12:
+                    y, w = _ts_nodes(level, rho - 1.0 - xi, 1.0, nodes)
+                    hy = h(y)
+                    want[i] = np.dot(hy * (h(rho - xi - y) if direct else hy[::-1]), w)
+            return want
+
+        x = _ts_nodes(level, rho - 2.0, 1.0)[0]
+        assert np.array_equal(_inner_k3(sc, rho, x, level), row_loop(sc, x, level))
+        # the mirror is the direct form up to rounding where h is smooth at the edge
+        np.testing.assert_allclose(_inner_k3(TP.h, rho, x, level), row_loop(TP.h, x, level, direct=True), rtol=1e-12)
+        # nested: the rows of the level before get half their old value plus the new (odd) inner nodes
+        prev = row_loop(sc, _ts_nodes(level - 1, rho - 2.0, 1.0)[0], level - 1)
+        old, new = _split(level)
+        want = row_loop(sc, x, level)
+        want[old] = 0.5 * prev + row_loop(sc, x[old], level, nodes=new)
+        assert np.array_equal(_inner_k3(sc, rho, x, level, prev), want)
+
+    def test_k3_h_calls(self, smooth_k3_reference):
         # the inner integral runs for all outer nodes of a level in a few calls
         h, sizes = self.spy(TP.h)
         condensation_constant(h, 2.5, 3, tol=1e-10, method="grid")
         assert len(sizes) < 60
+        # reuse and the mirror: under 0.4 of the h points of the loop without them
+        h, sizes = self.spy(SmoothCutoff(c=1.5, alpha=1.5).h)
+        condensation_constant(h, 2.5, 3, tol=1e-8, method="grid")
+        assert sum(sizes) <= 0.4 * smooth_k3_reference[3]
+
+    @pytest.mark.parametrize("shape", [TP, SmoothCutoff(c=1.5, alpha=1.5)])
+    def test_k2_reuse_is_bit_identical(self, shape):
+        res = condensation_constant(shape.h, 1.5, 2, tol=1e-10, method="grid")
+        value, bound, note, _, values = reference_slab(shape.h, 1.5, 2, 1e-10)
+        assert (res.value, res.abs_error_bound, res.note) == (value, bound, note)
+        assert [v for _, _, v in res.levels] == values
+
+    def test_k3_reuse_matches_reference(self, smooth_k3_reference):
+        res = condensation_constant(SmoothCutoff(c=1.5, alpha=1.5).h, 2.5, 3, tol=1e-8, method="grid")
+        value, bound, note, _, values = smooth_k3_reference
+        assert res.value == pytest.approx(value, rel=1e-9, abs=0.0)
+        assert res.abs_error_bound == pytest.approx(bound, rel=1e-3)
+        assert res.note == note and "max level 9" in note
+        assert len(res.levels) == len(values)
+
+    @pytest.mark.parametrize("rho, k, probe_points", [(1.5, 2, 8), (2.5, 3, 4)])
+    def test_refinement_trace(self, rho, k, probe_points):
+        h, sizes = self.spy(TP.h)
+        res = condensation_constant(h, rho, k, tol=1e-10, method="grid")
+        assert [level for level, _, _ in res.levels] == list(range(2, 2 + len(res.levels)))
+        assert res.levels[-1][2] == res.value
+        assert max(abs(res.levels[-1][2] - res.levels[-2][2]), 1e-16) == res.abs_error_bound
+        # every h point but the endpoint probe's belongs to a level
+        assert sum(points for _, points, _ in res.levels) == sum(sizes) - probe_points
+        assert condensation_constant(TP.h, 0.5, 1).levels == ()
 
     def test_k3_does_not_depend_on_block(self, monkeypatch):
         sc = SmoothCutoff(c=1.5, alpha=1.5)
