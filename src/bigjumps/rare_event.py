@@ -392,15 +392,19 @@ def conditional_profiles(
     def block(rng, rows):
         w = spec.sample(n, rng, (rows, n))
         s = w.sum(axis=1)
-        kept = (_decompose(w[i], eps_n) for i in np.flatnonzero((s >= lo) & (s <= hi)))
-        return rows, [prof for prof in kept if lo <= prof.s_n <= hi]  # recheck with the exact-identity sum
+        return rows, w[(s >= lo) & (s <= hi)]
 
     profiles: list[JumpProfile] = []
     used = 0
-    for rows, kept in _map_blocks(block, n, max_samples, seed):
+    for rows, hits in _map_blocks(block, n, max_samples, seed):
         used += rows
-        profiles += kept[: target_hits - len(profiles)]
-        if len(profiles) >= target_hits:
+        for row in hits:  # decomposed in the caller, so no row past the target ever is
+            prof = _decompose(row, eps_n)
+            if lo <= prof.s_n <= hi:  # recheck with the exact-identity sum
+                profiles.append(prof)
+                if len(profiles) == target_hits:
+                    break
+        if len(profiles) == target_hits:
             break
     if len(profiles) < target_hits:
         warnings.warn(

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from bigjumps import (
     sample_limit_jumps,
     uniform_h,
 )
-from bigjumps.condensation import _BLOCK, _MAX_LEVEL, _inner_k3, _split, _ts_nodes
+from bigjumps.condensation import _BLOCK, _EDGE, _MAX_LEVEL, _HProposal, _inner_k3, _split, _ts_nodes
 
 TP = TruncatedPareto(c=1.5, alpha=1.5)
 
@@ -296,6 +297,56 @@ class TestLimitSampler:
         x = sample_limit_jumps(TP.h, 1.5, 2, 40_000, rng).ravel()
         # by the k = 2 exchange symmetry the mean must be rho / 2
         assert abs(x.mean() - 0.75) < 0.01
+
+
+class TestHProposal:
+    @staticmethod
+    def two_searches(prop, u):
+        """The lookup as two binary searches, np.interp for the draw and searchsorted for its segment."""
+        seg_pdf = np.diff(prop._cdf) / np.diff(prop._x)
+        x = np.clip(np.interp(u, prop._cdf, prop._x), prop.floor + _EDGE, 1.0 - _EDGE)
+        seg = np.clip(np.searchsorted(prop._cdf, u, side="right") - 1, 0, len(seg_pdf) - 1)
+        return x, np.asarray(prop._h(x), dtype=float) / np.maximum(seg_pdf[seg], 1e-300)
+
+    @pytest.mark.parametrize("floor", [0.2, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "h",
+        [TP.h, TruncatedPareto(c=1.2, alpha=1.2).h, SmoothCutoff(c=1.5, alpha=1.5).h, uniform_h],
+        ids=["TP", "TP12", "SC", "uniform"],
+    )
+    def test_guide_table_matches_two_searches(self, h, floor):
+        prop = _HProposal(h, floor)
+        knots = prop._cdf
+        # every knot and its 1-ulp neighbours; _mc_krho's stratified (63 + r)/64 can round to exactly 1.0
+        u = np.concatenate(
+            [
+                np.random.default_rng(8).random(200_000),
+                knots,
+                np.nextafter(knots, -1.0).clip(0.0, None),
+                np.nextafter(knots, 2.0).clip(None, 1.0),
+                [0.0, 1.0],
+            ]
+        )
+        x, weight = prop.from_uniform(u)
+        want_x, want_weight = self.two_searches(prop, u)
+        assert np.array_equal(x, want_x)
+        assert np.array_equal(weight, want_weight)
+        assert prop._wide[(u * prop._bins).astype(np.intp)].any()  # the search fallback ran
+        # the stratification of the first coordinate needs x non-decreasing in u
+        assert np.all(np.diff(prop.from_uniform(np.sort(u))[0]) >= 0.0)
+
+    def test_outputs_pinned(self):
+        # the outputs of the two-search lookup, to the bit
+        res = condensation_constant(TP.h, 3.5, 4, method="monte_carlo", samples=100_000, seed=3)
+        assert (res.value.hex(), res.abs_error_bound.hex()) == ("0x1.bbb8537e20e0ap-2", "0x1.67007e990505ap-6")
+        res = condensation_constant(TP.h, 1.5, 2, method="monte_carlo", samples=100_000, seed=3)
+        assert (res.value.hex(), res.abs_error_bound.hex()) == ("0x1.4f3a48deb829dp+2", "0x1.f11333d682946p-11")
+        draws = sample_limit_jumps(TP.h, 2.5, 3, 2000, np.random.default_rng(7))
+        assert draws.shape == (2000, 2)
+        assert (
+            hashlib.sha256(draws.tobytes()).hexdigest()
+            == "414dca16b87e4608238ba81e665140d1dff81c9a8d40f67c71ca6101ed30266d"
+        )
 
 
 def test_tabulated_h_loader(tmp_path):

@@ -17,6 +17,7 @@ from bigjumps import (
     jump_size_gof,
     jump_sum_window_prob,
     predicted_window_prob,
+    rare_event,
     ratio_sweep,
     sample_limit_jumps,
     structure_fraction,
@@ -250,6 +251,22 @@ class TestConditionalProfiles:
             values = [v for _, v in p.big_jumps]
             assert values == sorted(values, reverse=True)
             assert all(v > 0.1 * 64 for v in values)
+
+    def test_no_row_past_the_target_is_decomposed(self, monkeypatch):
+        accepted = []
+        decompose = rare_event._decompose
+
+        def recording(vector, eps_n):
+            prof = decompose(vector, eps_n)
+            accepted.append(lo <= prof.s_n <= hi)
+            return prof
+
+        monkeypatch.setattr(rare_event, "_decompose", recording)
+        w = RhoWindow(0.5, ("fixed", 0.4))
+        lo, hi = w.interval(64, TP.mu_n(64)[0])
+        cond = conditional_profiles(TP, 64, w, eps=0.1, target_hits=40, max_samples=200_000, seed=12)
+        assert cond.hits == sum(accepted) == 40
+        assert accepted[-1]
 
     def test_threshold_tie_counts_as_bulk(self):
         # grid value exactly at eps*n must not be a big jump
