@@ -14,8 +14,10 @@ import dataclasses
 import json
 import math
 import os
+import platform
 import sys
 import time
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +36,22 @@ def _outdir(args) -> Path:
     return root
 
 
+@lru_cache(maxsize=1)
+def _libraries() -> dict:
+    """Python, numpy and scipy versions, scipy's read from its installed metadata (None if absent) without importing it."""
+    import importlib.metadata
+    scipy = next(importlib.metadata.distributions(name="scipy"), None)
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.version if scipy else None}
+
+
 def _write_manifest(args, name: str, started: float, params: dict) -> None:
     manifest = {
         "subcommand": name,
         "params": params,
         "seed": params.get("seed"),
         "version": __version__,
+        "libraries": _libraries(),
+        "workers": schemes._WORKERS,
         "duration_s": round(time.time() - started, 3),
     }
     path = _outdir(args) / f"{name.replace(' ', '_')}.manifest.json"

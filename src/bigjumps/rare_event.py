@@ -28,9 +28,6 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
-from scipy.optimize import brentq
-from scipy.stats import chi2 as _chi2
 
 from .condensation import KrhoResult, jump_marginal_mass
 from .schemes import (
@@ -224,6 +221,8 @@ def exact_dp(spec: DiscreteGrid, n: int, interval: tuple[float, float]) -> float
     raised to the n-th power, and untilted by M(theta)^n e^(-theta s) on the window cells s only: the
     FFT round-off is relative to the window mass, not to the mode of S_n (Keich 2005, J. Comput. Biol.).
     """
+    from scipy.fft import irfft, next_fast_len, rfft
+    from scipy.optimize import brentq
     _check_grid(spec, n)
     lo, hi = interval
     step = spec.grid_step(n)
@@ -471,6 +470,7 @@ def jump_size_gof(
     a finite-n rate effect.  Bins with expected count < 5 are merged into
     their neighbour (count reported).
     """
+    from scipy.special import chdtrc
     if k < 2:
         raise ValueError("the jump-size law is nontrivial only for k >= 2")
     if krho.diverged:
@@ -529,7 +529,7 @@ def jump_size_gof(
     else:
         stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
         dof = len(obs_arr) - 1
-        pvalue = float(_chi2.sf(stat, dof))
+        pvalue = float(chdtrc(dof, stat))  # chi2.sf(stat, dof), without importing scipy.stats
     return GofResult(
         statistic=stat,
         pvalue=pvalue,

@@ -40,7 +40,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 
 from . import torus
 
@@ -283,8 +282,9 @@ class SmoothCutoff(Scheme):
 
     def mu_n(self, n):
         # E[phi_n(W)] = int_0^inf phi_n'(x) P(W > x) dx with phi_n'(x) = e^(-x/n), and P(W > x) = 1 below x0
+        from scipy.integrate import quad
         n, x0 = float(n), self.x0
-        upper, _ = integrate.quad(lambda x: math.exp(-x / n) * x**-self.alpha, x0, math.inf, epsabs=0.0, epsrel=1e-12)
+        upper, _ = quad(lambda x: math.exp(-x / n) * x**-self.alpha, x0, math.inf, epsabs=0.0, epsrel=1e-12)
         return -n * math.expm1(-x0 / n) + self.c * upper, 0.0
 
     def spec_dict(self):

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "TorusConfig",
@@ -276,8 +275,9 @@ _TABLE_GRID = 4096
 
 
 @lru_cache(maxsize=8)
-def _g_table(d: int) -> tuple[PchipInterpolator, PchipInterpolator]:
+def _g_table(d: int) -> tuple:
     """g on a uniform grid of [1/sqrt(d), 1] for d >= 3, where the closed form hands over, as a monotone interpolant, and its derivative."""
+    from scipy.interpolate import PchipInterpolator
     r = np.linspace(1.0 / math.sqrt(d), 1.0, _TABLE_GRID)
     g = np.maximum.accumulate([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
     interp = PchipInterpolator(r, g, extrapolate=False)

@@ -1,4 +1,6 @@
+import importlib.metadata
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -39,6 +41,23 @@ def test_krho_from_scheme(tmp_path, capsys, pareto_cfg):
     manifest = json.loads((tmp_path / "krho.manifest.json").read_text())
     assert manifest["subcommand"] == "krho"
     assert manifest["params"]["rho"] == 0.5
+    assert manifest["libraries"] == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": importlib.metadata.version("scipy"),
+    }
+    assert manifest["workers"] == schemes._WORKERS
+
+
+def test_manifest_library_version_is_null_when_not_installed(tmp_path, monkeypatch):
+    cli._libraries.cache_clear()
+    monkeypatch.setattr(importlib.metadata, "distributions", lambda **kwargs: iter(()))
+    try:
+        assert run(["--outdir", str(tmp_path), "krho", "--h", "uniform", "--rho", "1.5", "--k", "2", "--tol", "1e-6"]) == 0
+    finally:
+        cli._libraries.cache_clear()
+    manifest = json.loads((tmp_path / "krho.manifest.json").read_text())
+    assert manifest["libraries"]["scipy"] is None
 
 
 @pytest.mark.parametrize(

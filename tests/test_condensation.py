@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from bigjumps import (
     SmoothCutoff,
@@ -138,6 +139,39 @@ class TestCondensationConstant:
         res = condensation_constant(uniform_h, rho=3.5, k=4, method="monte_carlo", samples=300_000, seed=2)
         assert res.method == "monte_carlo"
         assert abs(res.value - 0.5 ** 3 / 6) < max(3 * res.abs_error_bound, 5e-4)
+
+
+def k2_reference(scheme, rho):
+    """K(rho) for k = 2 and its error estimate by adaptive quad, independent of the tanh-sinh grid: twice
+    the integral of h(x) h(rho - x) over [rho/2, 1].  For SmoothCutoff it runs in L = -log(1 - x), where
+    h(x) dx = c alpha L^(-alpha-1) dL, so the log-singular edge at x = 1 is integrated in full."""
+    h = lambda x: float(scheme.h(x))
+    if isinstance(scheme, SmoothCutoff):
+        a = scheme.alpha
+        f = lambda ell: scheme.c * a * ell ** (-a - 1.0) * h(rho - 1.0 + math.exp(-ell))
+        val, err = quad(f, -math.log1p(-rho / 2.0), math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    else:
+        val, err = quad(lambda x: h(x) * h(rho - x), rho / 2.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return 2.0 * val, 2.0 * err
+
+
+_EDGE_CLIP = pytest.mark.xfail(
+    strict=True,
+    reason="the tanh-sinh nodes clip 1e-12 from each edge: about 2% of SmoothCutoff's log-corrected mass, "
+    "far outside the reported bound (edge-exact quadrature is still open)",
+)
+
+
+@pytest.mark.parametrize(
+    "scheme, rho",
+    [(TP, 1.5)] + [pytest.param(SmoothCutoff(c=1.5, alpha=1.5), rho, marks=_EDGE_CLIP) for rho in (1.2, 1.5, 1.8)],
+    ids=["pareto-1.5", "smooth-1.2", "smooth-1.5", "smooth-1.8"],
+)
+def test_grid_bound_covers_reference_error(scheme, rho):
+    # references: TruncatedPareto 5.2378280088, SmoothCutoff 113.72068, 13.33750 and 2.71929
+    res = condensation_constant(scheme.h, rho=rho, k=2, tol=1e-10, method="grid")
+    ref, ref_err = k2_reference(scheme, rho)
+    assert abs(res.value - ref) <= res.abs_error_bound + ref_err
 
 
 class TestJumpDensity:

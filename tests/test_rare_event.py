@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import chi2, ks_2samp
 
 from bigjumps import (
     DiscreteGrid,
@@ -317,6 +317,7 @@ class TestJumpSizeGof:
         vals = sample_limit_jumps(uniform_h, 1.5, 2, 500, rng).ravel()
         res = jump_size_gof(None, uniform_h, 1.5, 2, self.KR, bins=8, values=vals)
         assert res.pvalue > 0.001
+        assert res.pvalue == float(chi2.sf(res.statistic, res.dof))  # chdtrc is chi2.sf's own kernel
         assert res.out_of_support == 0
 
     def test_uniform_marginal_on_support(self):
@@ -325,6 +326,7 @@ class TestJumpSizeGof:
         direct = rng.uniform(0.5, 1.0, 800)
         res = jump_size_gof(None, uniform_h, 1.5, 2, self.KR, bins=8, values=direct)
         assert res.pvalue > 0.001
+        assert res.pvalue == float(chi2.sf(res.statistic, res.dof))
         drawn = sample_limit_jumps(uniform_h, 1.5, 2, 3000, rng).ravel()
         assert ks_2samp(direct, drawn).pvalue > 1e-4
 
@@ -334,6 +336,14 @@ class TestJumpSizeGof:
         res = jump_size_gof(None, uniform_h, 1.5, 2, self.KR, bins=8, values=vals)
         assert res.merged_bins > 0
         assert len(res.observed) < 8
+
+    def test_pvalue_after_merge_is_chi2_survival(self):
+        # TruncatedPareto's limit marginal at rho = 1.2 is not flat, so 60 draws merge some bins, not all
+        kr = condensation_constant(TP.h, 1.2, 2, tol=1e-9)
+        vals = sample_limit_jumps(TP.h, 1.2, 2, 60, np.random.default_rng(20)).ravel()
+        res = jump_size_gof(None, TP.h, 1.2, 2, kr, bins=8, values=vals)
+        assert res.merged_bins > 0 and 1 < len(res.observed) < 8
+        assert res.pvalue == float(chi2.sf(res.statistic, res.dof))
 
     def test_requires_k_at_least_two(self):
         with pytest.raises(ValueError):

@@ -193,3 +193,24 @@ def test_import_starts_no_thread():
     code = "import threading, bigjumps; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
     assert out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        None,
+        ["krho", "--h", "uniform", "--rho", "1.5", "--k", "2", "--tol", "1e-6"],
+        ["graph", "gen", "--d", "2", "--N", "4", "--beta", "3.0", "--seed", "1"],
+    ],
+    ids=["import", "krho", "graph-gen"],
+)
+def test_no_scipy_module_is_loaded_until_used(tmp_path, argv):
+    # each scipy submodule is imported in the function that uses it: about 1 s of start-up otherwise
+    code = "import sys, bigjumps\n"
+    if argv is not None:
+        code += f"from bigjumps import cli\nassert cli.run({['--outdir', str(tmp_path), *argv]!r}) == 0\n"
+    code += "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
+    if argv is not None:
+        assert list(tmp_path.glob("*.manifest.json"))
