@@ -31,6 +31,8 @@ from typing import Callable
 
 import numpy as np
 
+from ._pchip import pchip
+
 __all__ = [
     "KrhoResult",
     "condensation_constant",
@@ -422,14 +424,15 @@ def sample_limit_jumps(
 
 
 def load_tabulated_h(path: str | Path):
-    """Load a tabulated shape density (CSV columns x,h) as a callable on (0, 1)."""
-    from scipy.interpolate import PchipInterpolator
+    """Load a tabulated shape density (CSV columns x,h) as a callable on (0, 1).
 
+    Between rows it is the monotone cubic through them; past the first and last row, their cubics extend.
+    """
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     x, vals = data[:, 0], data[:, 1]
     if np.any(vals < 0.0):
         raise ValueError("tabulated h must be nonnegative")
-    interp = PchipInterpolator(x, vals, extrapolate=True)
+    interp = pchip(x, vals)[0]
 
     def h(q):
         q = np.asarray(q, dtype=float)

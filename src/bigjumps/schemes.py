@@ -225,7 +225,8 @@ class TruncatedPareto(Scheme):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0) or np.any(x >= 1.0):
             raise ValueError("h is defined on the open interval (0, 1)")
-        return self.c * x ** (-self.alpha - 1.0)
+        out = np.power(x, -self.alpha - 1.0, out=np.empty_like(x))
+        return np.multiply(self.c, out, out=out)[()]
 
     def mu_n(self, n):
         a, c, x0 = self.alpha, self.c, self.x0
@@ -277,8 +278,12 @@ class SmoothCutoff(Scheme):
         x = np.asarray(x, dtype=float)
         if np.any(x <= 0.0) or np.any(x >= 1.0):
             raise ValueError("h is defined on the open interval (0, 1)")
-        ell = -np.log1p(-x)
-        return self.c * self.alpha / (1.0 - x) * ell ** (-self.alpha - 1.0)
+        if x.ndim == 0:  # NumPy scalar arithmetic, whose ** (libm's pow) the array loop need not match bit for bit
+            return self.c * self.alpha / (1.0 - x) * (-np.log1p(-x)) ** (-self.alpha - 1.0)
+        # (c alpha / (1 - x)) * ell^(-alpha-1) with ell = -log1p(-x), in two buffers
+        ell, w = np.negative(x, out=np.empty_like(x)), np.subtract(1.0, x, out=np.empty_like(x))
+        np.power(np.negative(np.log1p(ell, out=ell), out=ell), -self.alpha - 1.0, out=ell)
+        return np.multiply(np.divide(self.c * self.alpha, w, out=w), ell, out=w)[()]
 
     def mu_n(self, n):
         # E[phi_n(W)] = int_0^inf phi_n'(x) P(W > x) dx with phi_n'(x) = e^(-x/n), and P(W > x) = 1 below x0

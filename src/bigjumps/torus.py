@@ -23,6 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._pchip import pchip
+
 __all__ = [
     "TorusConfig",
     "DegreeSummary",
@@ -249,39 +251,39 @@ def _g_d2(r):
 _SIMPSON = np.concatenate(([1.0], np.tile([4.0, 2.0], 256)[:-1], [1.0])) / (3.0 * 512)
 
 
-def _cube_ball_volume(d: int, a: float) -> float:
-    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) for d >= 3 by composite Simpson over the last axis.
+def _cube_ball_volume(d: int, a: np.ndarray) -> np.ndarray:
+    """Vol(B(0, a) ∩ [-1/2, 1/2]^d) for d >= 3 at radii a > 0 (1-D) by composite Simpson over the last axis.
 
     The cross-section at height t is a (d-1)-ball of radius s = sqrt(a^2 - t^2)
     in the unit (d-1)-cube: the closed-form disk area for d = 3, g of d - 1
-    beyond.
+    beyond.  Radii go in chunks of `_VOLUME_ROWS`, each a C-contiguous block of
+    node rows, and each row takes its own dot: strided rows or one matrix-vector
+    product would change the last bits.
     """
-    if a <= 0.0:
-        return 0.0
-    if a * a >= d / 4.0:
-        return 1.0
-    top = min(0.5, a)
-    t = np.linspace(0.0, top, 513)
-    s = np.sqrt(np.maximum(a * a - t * t, 0.0))
-    if d == 3:
-        # cross-section disk covers the unit square once s >= sqrt(2)/2
-        cross = np.where(s * s >= 0.5, 1.0, _disk_square_area(np.minimum(s, math.sqrt(0.5))))
-    else:
-        cross = g_eval(d - 1, 2.0 * s / math.sqrt(d - 1))
-    return 2.0 * top * float(_SIMPSON @ cross)
+    out = np.empty_like(a)
+    for j in range(0, a.size, _VOLUME_ROWS):
+        aj = a[j : j + _VOLUME_ROWS]
+        top = np.minimum(0.5, aj)
+        t = np.ascontiguousarray(np.linspace(0.0, top, 513, axis=-1))
+        s = np.sqrt(np.maximum((aj * aj)[:, None] - t * t, 0.0))
+        if d == 3:
+            # cross-section disk covers the unit square once s >= sqrt(2)/2
+            cross = np.where(s * s >= 0.5, 1.0, _disk_square_area(np.minimum(s, math.sqrt(0.5))))
+        else:
+            cross = g_eval(d - 1, 2.0 * s / math.sqrt(d - 1))
+        out[j : j + _VOLUME_ROWS] = np.where(aj * aj >= d / 4.0, 1.0, 2.0 * top * np.array([_SIMPSON @ row for row in cross]))
+    return out
 
 
 _TABLE_GRID = 4096
+_VOLUME_ROWS = 256
 
 
 @lru_cache(maxsize=8)
 def _g_table(d: int) -> tuple:
     """g on a uniform grid of [1/sqrt(d), 1] for d >= 3, where the closed form hands over, as a monotone interpolant, and its derivative."""
-    from scipy.interpolate import PchipInterpolator
     r = np.linspace(1.0 / math.sqrt(d), 1.0, _TABLE_GRID)
-    g = np.maximum.accumulate([_cube_ball_volume(d, 0.5 * math.sqrt(d) * ri) for ri in r])
-    interp = PchipInterpolator(r, g, extrapolate=False)
-    return interp, interp.derivative()
+    return pchip(r, np.maximum.accumulate(_cube_ball_volume(d, 0.5 * math.sqrt(d) * r)))
 
 
 def _inside_cube(d: int, r, power: int):
@@ -374,18 +376,17 @@ def calibrate_h(
     inconsistent with the d = 1 closed form; the discrepancy is recorded here
     on purpose rather than resolved silently.
     """
-    rows = []
+    rows, ginvs = [], a_list if d == 1 else g_inverse(d, np.asarray(a_list, dtype=float))
     for i, N in enumerate(N_list):
         cfg = TorusConfig(d=d, N=int(N), beta=beta, seed=seed)
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
         w = ball_point_count(d, cfg.N, _sample_radii(beta, rng, samples))
         n = cfg.n
-        for a in a_list:
+        for a, ginv in zip(a_list, ginvs):
             p = float(np.count_nonzero(w >= a * n)) / samples
             se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)
             scaled = n ** (beta / d) * p
             scaled_se = n ** (beta / d) * se
-            ginv = a if d == 1 else g_inverse(d, a)
             rows.append(
                 {
                     "N": int(N),

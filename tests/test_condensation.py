@@ -395,3 +395,31 @@ def test_tabulated_h_loader(tmp_path):
     assert abs(res.value - 0.5) < 1e-4
     with pytest.raises(ValueError):
         h(1.5)
+
+
+def test_tabulated_h_matches_scipy_pchip(tmp_path):
+    from scipy.interpolate import PchipInterpolator
+
+    # uneven knots on [0.05, 0.95], a sign change in the slopes and flat stretches; (0, 1) extrapolates past both ends
+    rng = np.random.default_rng(7)
+    xs = np.sort(rng.uniform(0.05, 0.95, 57))
+    vals = np.where(rng.random(57) < 0.2, 0.5, np.abs(np.sin(7.0 * xs)) + 0.1 * xs)
+    path = tmp_path / "h.csv"
+    path.write_text("x,h\n" + "".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), vals.tolist())))
+    q = np.concatenate((xs, np.linspace(1e-6, 1.0 - 1e-6, 100_001)))
+    want = np.maximum(PchipInterpolator(xs, vals, extrapolate=True)(q), 0.0)
+    h = load_tabulated_h(path)
+    assert np.array_equal(h(q), want)
+    assert h(0.01) == max(PchipInterpolator(xs, vals)(0.01), 0.0) and type(h(0.01)) is np.float64
+
+
+@pytest.mark.parametrize("xs", [(0.1, 0.5, 0.5, 0.9), (0.1, 0.6, 0.4, 0.9)], ids=["repeated", "decreasing"])
+def test_tabulated_h_rejects_unsorted_knots(tmp_path, xs):
+    from bigjumps._pchip import pchip
+
+    path = tmp_path / "h.csv"
+    path.write_text("x,h\n" + "".join(f"{x},1.0\n" for x in xs))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        load_tabulated_h(path)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        pchip(xs, np.ones(len(xs)))

@@ -201,13 +201,20 @@ def test_import_starts_no_thread():
         None,
         ["krho", "--h", "uniform", "--rho", "1.5", "--k", "2", "--tol", "1e-6"],
         ["graph", "gen", "--d", "2", "--N", "4", "--beta", "3.0", "--seed", "1"],
+        ["calibrate-h", "--d", "3", "--beta", "4", "--N-list", "2,4", "--samples", "1000"],
+        ["krho", "--scheme", "{tmp}/ball.cfg", "--rho", "2.5", "--k", "3", "--tol", "0.1"],
+        ["krho", "--h-table", "{tmp}/h.csv", "--rho", "1.5", "--k", "2", "--tol", "1e-6"],
     ],
-    ids=["import", "krho", "graph-gen"],
+    ids=["import", "krho", "graph-gen", "calibrate-h-d3", "krho-lattice-d3", "krho-h-table"],
 )
 def test_no_scipy_module_is_loaded_until_used(tmp_path, argv):
-    # each scipy submodule is imported in the function that uses it: about 1 s of start-up otherwise
+    # each scipy submodule is imported in the function that uses it: about 1 s of start-up otherwise,
+    # and the d >= 3 geometry table and tabulated h interpolate without scipy
+    (tmp_path / "ball.cfg").write_text("shape = lattice_ball\nd = 3\nbeta = 4.0\n")
+    (tmp_path / "h.csv").write_text("x,h\n" + "".join(f"{i / 10},1.0\n" for i in range(1, 10)))
     code = "import sys, bigjumps\n"
     if argv is not None:
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         code += f"from bigjumps import cli\nassert cli.run({['--outdir', str(tmp_path), *argv]!r}) == 0\n"
     code += "print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout

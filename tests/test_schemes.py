@@ -231,6 +231,30 @@ def test_in_place_sample_above_matches_out_of_place_formula(spec, n, size, where
     assert np.asarray(got).dtype == np.asarray(want).dtype and np.array_equal(got, want)
 
 
+def _h_expression(spec, x):
+    """The shape density of each continuous scheme written as one out-of-place expression."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(spec, TruncatedPareto):
+        return spec.c * x ** (-spec.alpha - 1.0)
+    ell = -np.log1p(-x)
+    return spec.c * spec.alpha / (1.0 - x) * ell ** (-spec.alpha - 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [TP, TruncatedPareto(c=0.7, alpha=2.3), SmoothCutoff(c=1.5, alpha=1.5), SmoothCutoff(c=1.2, alpha=1.2)],
+    ids=["pareto-1.5", "pareto-2.3", "smooth-1.5", "smooth-1.2"],
+)
+def test_in_place_h_matches_expression(spec):
+    rng = np.random.default_rng(4)
+    arrays = (rng.random(65536), rng.random((64, 33)), rng.random((40, 40))[:, ::-1], np.linspace(1e-12, 1.0 - 1e-12, 4097))
+    for x in arrays:
+        assert np.array_equal(spec.h(x), _h_expression(spec, x))
+    for x in [*rng.random(300).tolist(), 1e-12, 1.0 - 1e-12, np.float64(0.3), np.array(0.7)]:
+        got, want = spec.h(x), _h_expression(spec, x)
+        assert type(got) is type(want) is np.float64 and got == want
+
+
 TAIL_SCHEMES = (
     TP,
     SmoothCutoff(c=1.5, alpha=1.5),

@@ -361,6 +361,52 @@ class TestGeometry:
         want = np.array([volume(4, float(ri)) for ri in r])
         assert np.max(np.abs(torus._g_table(4)[0](r) - want)) < 1e-9
 
+    def test_volumes_match_scalar_loop(self):
+        def volume(a):
+            """One radius at a time: 513 Simpson nodes over the last axis, one dot product."""
+            if a * a >= 0.75:
+                return 1.0
+            t = np.linspace(0.0, min(0.5, a), 513)
+            s = np.sqrt(np.maximum(a * a - t * t, 0.0))
+            cross = np.where(s * s >= 0.5, 1.0, torus._disk_square_area(np.minimum(s, math.sqrt(0.5))))
+            return 2.0 * min(0.5, a) * float(torus._SIMPSON @ cross)
+
+        a = 0.5 * math.sqrt(3.0) * np.linspace(1.0 / math.sqrt(3.0), 1.0, torus._TABLE_GRID)
+        assert np.array_equal(torus._cube_ball_volume(3, a), [volume(ai) for ai in a])
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_table_interpolant_matches_scipy_pchip(self, d):
+        from scipy.interpolate import PchipInterpolator
+
+        from bigjumps import _pchip
+
+        r = np.linspace(1.0 / math.sqrt(d), 1.0, torus._TABLE_GRID)
+        g = np.maximum.accumulate(torus._cube_ball_volume(d, 0.5 * math.sqrt(d) * r))
+        want = PchipInterpolator(r, g)
+        assert np.array_equal(_pchip.coefficients(r, g), want.c)
+        q = np.concatenate((r, np.random.default_rng(d).uniform(r[0], 1.0, 100_000)))
+        value, derivative = torus._g_table(d)
+        assert np.array_equal(value(q), want(q)) and np.array_equal(derivative(q), want.derivative()(q))
+
+    @pytest.mark.xfail(strict=True, reason="g' near r = 1 is set by the spacing of the uniform table (1-7% off); a graded grid is still open")
+    @pytest.mark.parametrize("r", [0.998, 0.999])
+    def test_g_prime_near_one_matches_quad_volume(self, r):
+        from scipy.integrate import quad
+
+        def volume(a):
+            """Vol(B(0, a) ∩ unit cube) at d = 3 by adaptive quadrature of the disk-square cross-sections."""
+
+            def area(t):
+                s2 = a * a - t * t
+                return 1.0 if s2 >= 0.5 else float(torus._disk_square_area(math.sqrt(s2)))
+
+            kinks = [math.sqrt(a * a - b) for b in (0.25, 0.5) if 0.0 < a * a - b < 0.25]
+            return 2.0 * quad(area, 0.0, 0.5, points=kinks or None, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+        dr, scale = 2e-6, 0.5 * math.sqrt(3.0)
+        fd = (volume(scale * (r + dr)) - volume(scale * (r - dr))) / (2.0 * dr)
+        assert g_prime(3, r) == pytest.approx(fd, rel=1e-3, abs=0.0)
+
 
 class TestLatticeShapeDensity:
     def test_d1_closed_form(self):
