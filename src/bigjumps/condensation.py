@@ -23,7 +23,9 @@ the test suite and never merged.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -31,6 +33,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import schemes
 from ._pchip import pchip
 
 __all__ = [
@@ -86,11 +89,18 @@ def _ts_rule(level: int):
     return u, w
 
 
-def _ts_nodes(level: int, a, b, nodes=slice(None)):
-    """tanh-sinh abscissae/weights on (a, b), clipped 1e-12 away from the ends; `nodes` picks slots of the rule."""
+def _ts_nodes(level: int, a, b, nodes=slice(None), out=(None, None)):
+    """tanh-sinh abscissae/weights on (a, b), clipped 1e-12 away from the ends; `nodes` picks slots of the rule.
+
+    a and b are scalars, or columns giving one row of nodes each; `out` may hold the two arrays to write
+    into, as numpy's out= does.  The clip is a maximum, then a minimum: bit for bit np.clip on these finite
+    nodes, without np.clip's Python wrapper.
+    """
     u, w = _ts_rule(level)
     mid, rad = 0.5 * (a + b), 0.5 * (b - a)
-    return np.clip(mid + rad * u[nodes], a + _EDGE, b - _EDGE), rad * w[nodes]
+    y = np.multiply(rad, u[nodes], out=out[0])
+    np.maximum(np.add(mid, y, out=y), a + _EDGE, out=y)
+    return np.minimum(y, b - _EDGE, out=y), np.multiply(rad, w[nodes], out=out[1])
 
 
 def _split(level: int) -> tuple[slice, slice]:
@@ -125,11 +135,39 @@ def _edge_divergent(f: Callable, a: float, b: float) -> bool:
     return False
 
 
-def _inner_k3(h: Callable, rho: float, x: np.ndarray, level: int, prev: np.ndarray | None = None) -> np.ndarray:
+def _inner_rows(h: Callable, lo: np.ndarray, rows: np.ndarray, level: int, nodes: slice, step: int, out: np.ndarray,
+                blocks, claim: threading.Lock):
+    """Add to out[rows] the inner sums of those rows over a level's `nodes`, block by block.
+
+    A block is rows[start : start + step] for a start taken from the iterator `blocks` under the lock `claim`,
+    so that threads sharing them take each block once.  Every block's nodes, weights and products go into the
+    same three buffers, and each row takes one BLAS dot, the same sum as np.dot row by row: a row's value does
+    not depend on its block.
+    """
+    shape = (min(step, len(rows)), len(_ts_rule(level)[0][nodes]))
+    ybuf, wbuf, pbuf = np.empty(shape), np.empty(shape), np.empty(shape)
+    while True:
+        with claim:
+            start = next(blocks, None)
+        if start is None:
+            return
+        r = rows[start : start + step]
+        y, w = _ts_nodes(level, lo[r, None], 1.0, nodes, out=(ybuf[: len(r)], wbuf[: len(r)]))
+        hy = h(y.ravel()).reshape(y.shape)
+        prod = np.multiply(hy, hy[:, ::-1], out=pbuf[: len(r)])
+        out[r] += (prod[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+
+def _inner_k3(h: Callable, rho: float, x: np.ndarray, level: int, prev: np.ndarray | None = None):
     """int h(y) h(rho - x - y) dy over the slab's y-range (rho - 1 - x, 1) for each outer node x, on x's level.
 
     The range and its nodes are symmetric under y -> rho - x - y, so h(rho - x - y_j) is h(y_-j): one h call
     per node.  Given `prev`, the values of the level before, its rows get half that plus the new (odd) nodes.
+    The old rows and the new rows each make one pass of blocks of _BLOCK points.  A pass of 2 * _WORKERS
+    blocks or more is cut into blocks of _BLOCK // _WORKERS points instead, which the calling thread and
+    _WORKERS - 1 pool threads take in turn, each as soon as it is free: a slow core then holds up a pass by
+    one block at most.  Smaller passes run on the calling thread alone.  Returns the values and the number
+    of points h was called on.
     """
     lo = rho - 1.0 - x
     out = np.zeros_like(x)
@@ -138,16 +176,25 @@ def _inner_k3(h: Callable, rho: float, x: np.ndarray, level: int, prev: np.ndarr
         old, new = _split(level)
         out[old] = 0.5 * prev
         groups = [(old, new), (new, slice(None))]
+    workers, points = schemes._WORKERS, 0
     for rows, nodes in groups:
         rows = np.arange(len(x))[rows][(1.0 - lo > 2 * _EDGE)[rows]]
-        step = max(1, _BLOCK // len(_ts_rule(level)[0][nodes]))
-        for start in range(0, len(rows), step):
-            r = rows[start : start + step]
-            y, w = _ts_nodes(level, lo[r, None], 1.0, nodes)
-            hy = h(y.ravel()).reshape(y.shape)
-            # one BLAS dot per row, the same sums as np.dot row by row
-            out[r] += ((hy * hy[:, ::-1])[:, None, :] @ w[:, :, None])[:, 0, 0]
-    return out
+        width = len(_ts_rule(level)[0][nodes])
+        points += len(rows) * width
+        step, helpers = max(1, _BLOCK // width), 0
+        if workers > 1 and -(-len(rows) // step) >= 2 * workers:
+            # the blocks in flight hold _BLOCK points between them, as one block does on one thread
+            step, helpers = max(1, _BLOCK // workers // width), workers - 1
+        task = (h, lo, rows, level, nodes, step, out, iter(range(0, len(rows), step)), threading.Lock())
+        jobs = [schemes._executor(workers).submit(_inner_rows, *task) for _ in range(helpers)]
+        try:
+            _inner_rows(*task)
+        finally:
+            if jobs:
+                futures.wait(jobs)  # no job outlives the call
+        for job in jobs:
+            job.result()
+    return out, points
 
 
 def _slab_integral(h: Callable, rho: float, k: int, lo: float, hi: float, tol: float):
@@ -187,7 +234,9 @@ def _slab_integral(h: Callable, rho: float, k: int, lo: float, hi: float, tol: f
             (old, new), f_old, f = _split(level), f, np.empty_like(x)
             f[old], f[new] = f_old, probe(x[new])
         if k == 3:
-            inner = _inner_k3(counted, rho, x, level, inner)
+            # the inner points are counted here, not in `counted`: worker threads call h
+            inner, points = _inner_k3(h, rho, x, level, inner)
+            h_points += points
         values.append(float(np.dot(f if k == 2 else f * inner, w)))
         levels.append((level, h_points, values[-1]))
         if len(values) >= 2 and abs(values[-1] - values[-2]) <= 0.5 * tol:
@@ -311,6 +360,11 @@ def condensation_constant(
     assumption on h, not a guarantee); `note` names the rule that fired.
     When the finest level leaves the bound above tol, `note` says so and
     `diverged` stays False.  Otherwise `note` is empty.
+
+    At k = 3 the inner rows of a large refinement pass run on the worker
+    pool of the sampling routines, with results bit-identical at any worker
+    count: h must be a pure elementwise function safe to call from several
+    threads at once, and no pool thread may call this function.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")

@@ -1,5 +1,7 @@
 import hashlib
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from bigjumps import (
     sample_limit_jumps,
     uniform_h,
 )
+from bigjumps import condensation, schemes
 from bigjumps.condensation import _BLOCK, _EDGE, _MAX_LEVEL, _HProposal, _inner_k3, _split, _ts_nodes
 
 TP = TruncatedPareto(c=1.5, alpha=1.5)
@@ -261,15 +264,15 @@ class TestSlabIntegral:
             return want
 
         x = _ts_nodes(level, rho - 2.0, 1.0)[0]
-        assert np.array_equal(_inner_k3(sc, rho, x, level), row_loop(sc, x, level))
+        assert np.array_equal(_inner_k3(sc, rho, x, level)[0], row_loop(sc, x, level))
         # the mirror is the direct form up to rounding where h is smooth at the edge
-        np.testing.assert_allclose(_inner_k3(TP.h, rho, x, level), row_loop(TP.h, x, level, direct=True), rtol=1e-12)
+        np.testing.assert_allclose(_inner_k3(TP.h, rho, x, level)[0], row_loop(TP.h, x, level, direct=True), rtol=1e-12)
         # nested: the rows of the level before get half their old value plus the new (odd) inner nodes
         prev = row_loop(sc, _ts_nodes(level - 1, rho - 2.0, 1.0)[0], level - 1)
         old, new = _split(level)
         want = row_loop(sc, x, level)
         want[old] = 0.5 * prev + row_loop(sc, x[old], level, nodes=new)
-        assert np.array_equal(_inner_k3(sc, rho, x, level, prev), want)
+        assert np.array_equal(_inner_k3(sc, rho, x, level, prev)[0], want)
 
     def test_k3_h_calls(self, smooth_k3_reference):
         # the inner integral runs for all outer nodes of a level in a few calls
@@ -314,6 +317,57 @@ class TestSlabIntegral:
         monkeypatch.setattr("bigjumps.condensation._BLOCK", 1 << 12)  # one row per call at level 9
         assert condensation_constant(sc.h, 2.5, 3, tol=1e-8, method="grid") == want
         assert jump_marginal_mass(TP.h, 2.5, 3, 0.6, 0.8) == mass
+
+    @staticmethod
+    def thread_spy(f):
+        """f wrapped to record the thread of every call."""
+        threads = set()
+
+        def wrapped(*args):
+            threads.add(threading.get_ident())
+            return f(*args)
+
+        return wrapped, threads
+
+    def test_small_passes_stay_on_the_calling_thread(self, monkeypatch):
+        # at two workers a pass of fewer than 4 blocks runs inline: every pass of the eight uniform
+        # marginal-mass bins (levels 2 and 3), and the nested passes through level 6 (2 blocks at most);
+        # level 7's passes hold 4 and 7 blocks and hand a pool thread a share of them
+        monkeypatch.setattr(schemes, "_WORKERS", 2)
+        caller = {threading.get_ident()}
+        edges = np.linspace(0.5, 1.0, 9)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            h, threads = self.thread_spy(uniform_h)
+            assert jump_marginal_mass(h, 2.5, 3, lo, hi) > 0.0
+            assert threads == caller
+        sc, inner_rows, prev = SmoothCutoff(c=1.5, alpha=1.5).h, condensation._inner_rows, None
+        for level in range(2, 8):
+            h, threads = self.thread_spy(sc)
+            rows, runners = self.thread_spy(inner_rows)
+            monkeypatch.setattr(condensation, "_inner_rows", rows)
+            prev = _inner_k3(h, 2.5, _ts_nodes(level, 0.5, 1.0)[0], level, prev)[0]
+            assert (runners == caller) == (level <= 6)
+            assert threads <= runners
+
+    def test_threaded_k3_under_stress(self, monkeypatch):
+        # eight workers on one-row blocks, switching threads every microsecond: a lost row or point count
+        # would change the refinement trace
+        sc = SmoothCutoff(c=1.5, alpha=1.5).h
+        monkeypatch.setattr(schemes, "_WORKERS", 1)
+        want = condensation_constant(sc, 2.5, 3, tol=1e-4)  # levels 2 to 8
+        monkeypatch.setattr(schemes, "_WORKERS", 8)
+        monkeypatch.setattr("bigjumps.condensation._BLOCK", 1 << 10)
+        got = []
+        runner = threading.Thread(target=lambda: got.append(condensation_constant(sc, 2.5, 3, tol=1e-4)), daemon=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(got) == 1 and got[0].levels == want.levels and got[0] == want
 
 
 class TestLimitSampler:

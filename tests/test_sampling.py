@@ -22,6 +22,7 @@ from bigjumps import (
     conditional_profiles,
     estimate_naive,
     estimate_structured,
+    jump_marginal_mass,
     jump_size_gof,
     jump_sum_window_prob,
     lln_deviation,
@@ -150,6 +151,8 @@ _SEEDED = {
 
 
 def _fields_equal(one, two):
+    if not dataclasses.is_dataclass(one):
+        return one == two
     return all(np.array_equal(getattr(one, f.name), getattr(two, f.name)) for f in dataclasses.fields(one))
 
 
@@ -176,10 +179,15 @@ _ACROSS_BLOCKS = {
     "conditional_exhausted": lambda: conditional_profiles(
         _TP, 64, RhoWindow(0.5, ("fixed", 0.4)), eps=0.1, target_hits=10**6, max_samples=11 * _ROWS_64 + 3, seed=5
     ),
+    # the k = 3 slab integral splits the row blocks of its finer levels among the workers; TruncatedPareto's
+    # mass converges on levels that stay on the calling thread, SmoothCutoff's runs to level 9 on the pool
+    "krho_grid_k3": lambda: condensation_constant(SCHEMES["smooth_cutoff"].h, 2.5, 3, tol=1e-8),
+    "marginal_mass_k3": lambda: jump_marginal_mass(_TP.h, 2.5, 3, 0.6, 0.8),
+    "marginal_mass_k3_pool": lambda: jump_marginal_mass(SCHEMES["smooth_cutoff"].h, 2.5, 3, 0.6, 0.8),
 }
 
 
-@pytest.mark.filterwarnings("ignore:sigma window", "ignore:collected")
+@pytest.mark.filterwarnings("ignore:sigma window", "ignore:collected", "ignore:marginal mass")
 @pytest.mark.parametrize("name", list(_ACROSS_BLOCKS))
 def test_results_do_not_depend_on_worker_count(name, monkeypatch):
     results = []
