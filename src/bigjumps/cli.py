@@ -131,17 +131,15 @@ def _cmd_tail_check(args):
         raise ValueError(f"tail-check needs 0 < a < b <= 1; got a={args.a}, b={args.b}")
     spec = schemes.load_scheme_config(args.scheme)
     rows = []
-    for i, n in enumerate(args.n_list):
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed, i)))
-        w = spec.sample(n, rng, size=args.samples)
-        p = float(np.count_nonzero((w >= args.a * n) & (w < args.b * n))) / args.samples
-        se = math.sqrt(max(p * (1 - p), 0.0) / args.samples)
+    for n in args.n_list:
+        spec.check_level(n)
+        # P(a n <= W < b n) = P(W > a n^-) - P(W > b n^-), exact for integer-valued W too
+        lo, hi = np.nextafter([args.a * n, args.b * n], -np.inf)
+        p = float(spec.tail(n, lo) - spec.tail(n, hi))
         x = np.linspace(args.a + 1e-9, args.b - 1e-9, 20001)
         hint = float(np.trapezoid(spec.h(x), x)) * n ** (-spec.alpha)
-        rows.append(
-            {"n": n, "empirical": p, "std_error": se, "expected": hint, "ratio": p / hint if hint > 0 else math.nan}
-        )
-    _write_csv(_outdir(args) / "tail_check.csv", ["n", "empirical", "std_error", "expected", "ratio"], rows)
+        rows.append({"n": n, "exact": p, "expected": hint, "ratio": p / hint if hint > 0 else math.nan})
+    _write_csv(_outdir(args) / "tail_check.csv", ["n", "exact", "expected", "ratio"], rows)
     _emit(rows, args)
 
 
@@ -352,13 +350,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, required=True)
     p.add_argument("--method", default="auto", choices=["auto", "grid", "monte_carlo"])
 
-    p = add("tail-check", _cmd_tail_check, help="empirical window mass against the shape density")
+    p = add("tail-check", _cmd_tail_check, help="exact window mass against the shape density")
     p.add_argument("--scheme", required=True)
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
 
     p = add("lln", _cmd_lln, help="law-of-large-numbers deviation probabilities")
     p.add_argument("--scheme", required=True)

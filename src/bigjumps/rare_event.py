@@ -473,6 +473,8 @@ def jump_size_gof(
     from scipy.special import chdtrc
     if k < 2:
         raise ValueError("the jump-size law is nontrivial only for k >= 2")
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1; got {bins}")
     if krho.diverged:
         raise ValueError("condensation constant diverged")
     rng = np.random.default_rng(seed)

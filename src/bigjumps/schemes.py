@@ -210,9 +210,11 @@ class TruncatedPareto(Scheme):
         inner = (self.c / self.alpha) * n**-self.alpha * np.expm1(-self.alpha * log_r) / z
         return np.where(y >= n, 0.0, np.where(y <= self.x0, 1.0, inner))[()]
 
-    def sample_above(self, n, threshold, rng, size=None):
+    def check_level(self, n):
         if n <= self.x0:
             raise ValueError(f"level n={n} is below the support floor x0={self.x0:.3g}")
+
+    def sample_above(self, n, threshold, rng, size=None):
         self._check_above(n, threshold)
         t = max(threshold, self.x0)
         ta, na = t ** -self.alpha, float(n) ** -self.alpha

@@ -4,7 +4,8 @@ The vertex set is the n = (2N+1)^d lattice points of [-N, N]^d with
 coordinates wrapped modulo L = 2N+1 (all points distinct, vertex-transitive).
 Each vertex v carries an independent radius R_v with P(R_v > x) = x^(-beta)
 for x >= 1, and sends an oriented edge to every other vertex of the open
-ball B(v, R_v).
+ball B(v, R_v).  So the out-degrees are n independent draws of
+`schemes.LatticeBall(d, beta)` at level n, the one place that law is written.
 
 The bridge from radius tails to out-degree tails is the normalized clipped
 ball volume
@@ -23,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import schemes
 from ._pchip import pchip
 
 __all__ = [
@@ -56,12 +58,9 @@ class TorusConfig:
     seed: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
+        schemes.LatticeBall(self.d, self.beta)  # checks d >= 1 and beta > d
         if self.N < 1:
             raise ValueError("N must be >= 1")
-        if self.beta <= self.d:
-            raise ValueError("need beta > d (alpha = beta/d > 1)")
         if self.n > _MAX_VERTICES:
             raise ValueError(f"n = (2N+1)^d = {self.n} exceeds the vertex cap {_MAX_VERTICES}")
 
@@ -152,31 +151,28 @@ def ball_point_count(d: int, N: int, R):
     return out.reshape(R.shape)[()]
 
 
-def _sample_radii(beta: float, rng: np.random.Generator, size):
-    u = rng.random(size)
-    return (1.0 - u) ** (-1.0 / beta)
-
-
 def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None = None) -> DegreeSummary:
-    """Sample all n radii and accumulate exact out- and in-degrees.
+    """Draw the n out-degrees from `LatticeBall(d, beta)` and scatter the exact in-degrees.
 
-    No edge list is materialized: each vertex's ball is a prefix of the
-    norm-sorted offset table.  A target v + o with v, o in [-N, N]^d lies in
-    the box [-2N, 2N]^d without wrapping, so in-degrees are scattered into
-    that box (side P = 4N+1) by flat index, flat(v) + flat(o), in blocks of
-    about `_BLOCK` visits cut at vertex boundaries, then folded once onto the
+    The out-degrees are `LatticeBall(d, beta).sample(n, default_rng(SeedSequence(seed)), n)`
+    and the in-degrees a function of them alone: no edge list is
+    materialized, since each vertex's ball is a prefix of the norm-sorted
+    offset table.  A target v + o with v, o in [-N, N]^d lies in the box
+    [-2N, 2N]^d without wrapping, so in-degrees are scattered into that box
+    (side P = 4N+1) by flat index, flat(v) + flat(o), in blocks of about
+    `_BLOCK` visits cut at vertex boundaries, then folded once onto the
     torus.  Memory is the box plus one block, whatever the visit count.
-    `planted_radii` overrides the radius of selected flat vertex indices
-    (used for planted-condensation demonstrations).
+    `planted_radii` overrides the radius of selected flat vertex indices, so
+    vertex i gets out-degree `ball_point_count(d, N, r)` (used for
+    planted-condensation demonstrations).
     """
     d, N, n = config.d, config.N, config.n
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    radii = _sample_radii(config.beta, rng, n)
+    out_deg = schemes.LatticeBall(d, config.beta).sample(n, rng, n)
     for idx, r in (planted_radii or {}).items():
         if not 0 <= idx < n:
             raise ValueError(f"planted vertex index {idx} is outside [0, {n})")
-        radii[idx] = r
-    out_deg = ball_point_count(d, N, radii)
+        out_deg[idx] = ball_point_count(d, N, r)
 
     visits = int(out_deg.sum())
     if visits > _MAX_BALL_VISITS:
@@ -376,12 +372,13 @@ def calibrate_h(
     inconsistent with the d = 1 closed form; the discrepancy is recorded here
     on purpose rather than resolved silently.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1; got {samples}")
     rows, ginvs = [], a_list if d == 1 else g_inverse(d, np.asarray(a_list, dtype=float))
     for i, N in enumerate(N_list):
-        cfg = TorusConfig(d=d, N=int(N), beta=beta, seed=seed)
+        n = TorusConfig(d=d, N=int(N), beta=beta, seed=seed).n
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))
-        w = ball_point_count(d, cfg.N, _sample_radii(beta, rng, samples))
-        n = cfg.n
+        w = schemes.LatticeBall(d, beta).sample(n, rng, samples)
         for a, ginv in zip(a_list, ginvs):
             p = float(np.count_nonzero(w >= a * n)) / samples
             se = math.sqrt(max(p * (1.0 - p), 0.0) / samples)

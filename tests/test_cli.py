@@ -240,6 +240,20 @@ def test_gof_runs(tmp_path, capsys):
     assert 0.0 <= res["pvalue"] <= 1.0
 
 
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_gof_rejects_nonpositive_bins(tmp_path, capsys, bins):
+    cfg = tmp_path / "p12.cfg"
+    cfg.write_text("shape = truncated_pareto\nc = 1.2\nalpha = 1.2\n")
+    argv = [
+        "--outdir", str(tmp_path),
+        "gof", "--scheme", str(cfg), "--n", "128", "--rho", "1.5", "--width", "0.2",
+        "--eps", "0.4", "--hits", "20", "--max-samples", "400000", f"--bins={bins}", "--seed", "1",
+    ]
+    assert run(argv) == 1
+    assert f"bins must be >= 1; got {bins}" in capsys.readouterr().err
+    assert not (tmp_path / "gof.json").exists()
+
+
 def test_calibrate_h_report(tmp_path, capsys):
     code = run(
         [
@@ -253,6 +267,14 @@ def test_calibrate_h_report(tmp_path, capsys):
     assert rep["derived_const"] == pytest.approx(2.0 ** 1.5)
     assert rep["quoted_const"] == pytest.approx((4.0) ** -0.75)
     assert len(rep["rows"]) == 6
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_calibrate_h_rejects_nonpositive_samples(tmp_path, capsys, samples):
+    argv = ["--outdir", str(tmp_path), "calibrate-h", "--d", "1", "--beta", "1.5", "--N-list", "8", "--samples", samples]
+    assert run(argv) == 1
+    assert f"samples must be >= 1; got {samples}" in capsys.readouterr().err
+    assert not (tmp_path / "calibrate_h.json").exists()
 
 
 def test_lln_and_tail_check(tmp_path, pareto_cfg, capsys):
@@ -272,15 +294,18 @@ def test_lln_and_tail_check(tmp_path, pareto_cfg, capsys):
         run(
             [
                 "--outdir", str(tmp_path),
-                "tail-check", "--scheme", str(pareto_cfg), "--a", "0.3", "--b", "0.7",
-                "--n-list", "256,1024", "--samples", "200000", "--seed", "0",
+                "tail-check", "--scheme", str(pareto_cfg), "--a", "0.3", "--b", "0.7", "--n-list", "256,1024",
             ]
         )
         == 0
     )
     rows = json.loads(capsys.readouterr().out)
-    for row in rows:
-        assert abs(row["ratio"] - 1.0) < 4 * row["std_error"] / row["expected"] + 0.02
+    spec = schemes.load_scheme_config(pareto_cfg)
+    for row, n in zip(rows, (256, 1024)):
+        lo, hi = np.nextafter([0.3 * n, 0.7 * n], -np.inf)
+        assert row["exact"] == float(spec.tail(n, lo) - spec.tail(n, hi))
+        assert abs(row["ratio"] - 1.0) < 1e-3
+    assert (tmp_path / "tail_check.csv").read_text().splitlines()[0] == "n,exact,expected,ratio"
 
 
 def test_lln_rows_seed_from_seed_and_row(tmp_path, pareto_cfg, capsys):
@@ -301,11 +326,17 @@ def test_lln_rows_seed_from_seed_and_row(tmp_path, pareto_cfg, capsys):
 def test_tail_check_rejects_window_outside_unit_interval(tmp_path, pareto_cfg, capsys, a, b):
     argv = [
         "--outdir", str(tmp_path),
-        "tail-check", "--scheme", str(pareto_cfg), "--a", a, "--b", b, "--n-list", "256", "--samples", "1000",
+        "tail-check", "--scheme", str(pareto_cfg), "--a", a, "--b", b, "--n-list", "256",
     ]
     assert run(argv) == 1
     assert "0 < a < b <= 1" in capsys.readouterr().err
     assert not (tmp_path / "tail_check.csv").exists()
+
+
+def test_tail_check_rejects_level_below_support_floor(tmp_path, pareto_cfg, capsys):
+    argv = ["--outdir", str(tmp_path), "tail-check", "--scheme", str(pareto_cfg), "--a", "0.3", "--b", "0.7", "--n-list", "1"]
+    assert run(argv) == 1
+    assert "level n=1 is below the support floor" in capsys.readouterr().err
 
 
 def test_estimate_does_not_depend_on_cpu_count(tmp_path, pareto_cfg, capsys, monkeypatch):

@@ -345,6 +345,12 @@ class TestJumpSizeGof:
         assert res.merged_bins > 0 and 1 < len(res.observed) < 8
         assert res.pvalue == float(chi2.sf(res.statistic, res.dof))
 
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_rejects_nonpositive_bins(self, bins):
+        vals = np.full(50, 0.75)
+        with pytest.raises(ValueError, match=f"bins must be >= 1; got {bins}"):
+            jump_size_gof(None, uniform_h, 1.5, 2, self.KR, bins=bins, values=vals)
+
     def test_requires_k_at_least_two(self):
         with pytest.raises(ValueError):
             jump_size_gof(None, uniform_h, 0.5, 1, self.KR, values=np.array([0.5]))

@@ -139,9 +139,10 @@ class TestOutDegree:
         assert abs(means[2] - means[1]) < abs(means[1] - means[0]) + 0.05
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            TorusConfig(d=2, N=8, beta=1.5, seed=0)  # beta <= d
-        with pytest.raises(ValueError):
+        # d and beta are checked by the LatticeBall law the graph draws from
+        with pytest.raises(ValueError, match="beta must exceed d"):
+            TorusConfig(d=2, N=8, beta=1.5, seed=0)
+        with pytest.raises(ValueError, match="dimension d must be >= 1"):
             TorusConfig(d=0, N=8, beta=1.5, seed=0)
 
 
@@ -178,6 +179,27 @@ class TestGraph:
                     ind[j] += 1
         assert np.array_equal(outd, g.out_degrees)
         assert np.array_equal(ind, g.in_degrees)
+
+    @pytest.mark.parametrize(
+        "cfg, planted",
+        [
+            (TorusConfig(d=1, N=500, beta=1.5, seed=11), {0: math.inf, 7: 0.5, 1000: 1.0 + 1e-9}),
+            (TorusConfig(d=1, N=500, beta=2.0, seed=12), {3: 40.0}),
+            (TorusConfig(d=2, N=64, beta=3.0, seed=13), {0: math.inf, 100: 0.5, 16640: 9.5}),
+            (TorusConfig(d=3, N=10, beta=6.0, seed=14), {9260: 2.5}),
+        ],
+        ids=["d1", "d1_beta2", "d2", "d3"],
+    )
+    def test_out_degrees_are_ball_counts_of_pareto_radii(self, cfg, planted):
+        # the out-degree law written out: open-ball counts of Pareto(beta) radii, planted radii overriding
+        for plant in (None, planted):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+            radii = (1.0 - rng.random(cfg.n)) ** (-1.0 / cfg.beta)
+            for i, r in (plant or {}).items():
+                radii[i] = r
+            want = ball_point_count(cfg.d, cfg.N, radii)
+            got = generate_graph(cfg, plant).out_degrees
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_block_size_does_not_change_degrees(self, monkeypatch, block):
@@ -444,6 +466,29 @@ class TestLatticeShapeDensity:
     def test_domain(self):
         with pytest.raises(ValueError):
             h_lattice(2, 3.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "d, beta, N_list", [(1, 1.5, [64, 500]), (1, 2.0, [500]), (2, 3.0, [8, 64]), (3, 6.0, [10])],
+        ids=["d1", "d1_beta2", "d2", "d3"],
+    )
+    def test_calibrate_h_rows_are_ball_counts_of_pareto_radii(self, d, beta, N_list):
+        a_list, samples = (0.01, 0.05, 0.1, 0.3, 0.5, 0.8), 20_000
+        rows = iter(calibrate_h(d, beta, N_list, a_list=a_list, samples=samples, seed=4)["rows"])
+        for i, N in enumerate(N_list):
+            rng = np.random.default_rng(np.random.SeedSequence((4, i)))
+            w = ball_point_count(d, N, (1.0 - rng.random(samples)) ** (-1.0 / beta))
+            n = (2 * N + 1) ** d
+            for a in a_list:
+                row = next(rows)
+                p = float(np.count_nonzero(w >= a * n)) / samples
+                assert (row["N"], row["n"], row["a"]) == (N, n, a)
+                assert row["scaled_tail"] == n ** (beta / d) * p
+                assert row["scaled_tail_se"] == n ** (beta / d) * math.sqrt(max(p * (1.0 - p), 0.0) / samples)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_calibrate_h_rejects_nonpositive_samples(self, samples):
+        with pytest.raises(ValueError, match=f"samples must be >= 1; got {samples}"):
+            calibrate_h(1, 1.5, N_list=[8], samples=samples)
 
     def test_tail_constant_report(self):
         report = calibrate_h(1, 1.5, N_list=[128, 256], a_list=(0.5,), samples=200_000, seed=1)
