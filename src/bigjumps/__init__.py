@@ -20,8 +20,8 @@ from .rare_event import (
     JumpProfile,
     RhoWindow,
     conditional_profiles,
+    estimate_conditional,
     estimate_naive,
-    estimate_structured,
     exact_dp,
     exact_sum_distribution,
     jump_size_gof,

@@ -165,10 +165,8 @@ def _cmd_estimate(args):
     spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
     mu_n, _ = spec.mu_n(args.n)
-    if args.method == "naive":
-        est = rare_event.estimate_naive(spec, args.n, window, mu_n, args.samples, seed=args.seed)
-    else:
-        est = rare_event.estimate_structured(spec, args.n, window, args.samples, seed=args.seed)
+    estimate = rare_event.estimate_naive if args.method == "naive" else rare_event.estimate_conditional
+    est = estimate(spec, args.n, window, mu_n, args.samples, seed=args.seed)
     _emit(
         {
             "prob": est.prob,
@@ -229,6 +227,8 @@ def _cmd_condition(args):
 
 def _cmd_gof(args):
     spec = schemes.load_scheme_config(args.scheme)
+    if args.bins < 1:  # before the sampling, which takes seconds
+        raise ValueError(f"bins must be >= 1; got {args.bins}")
     window = _window(args)
     krho = condensation.condensation_constant(spec.h, rho=window.rho, k=window.k, tol=1e-8)
     cond = rare_event.conditional_profiles(
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-width", type=_power_width, help="w0:gamma for width w0*n^-gamma")
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--method", default="naive", choices=["naive", "structured"])
+    p.add_argument("--method", default="naive", choices=["naive", "conditional"])
 
     p = add("ldp-sweep", _cmd_ldp_sweep, help="ratio table over an n sweep")
     p.add_argument("--scheme", required=True)

@@ -237,7 +237,7 @@ def _slab_integral(h: Callable, rho: float, k: int, lo: float, hi: float, tol: f
             # the inner points are counted here, not in `counted`: worker threads call h
             inner, points = _inner_k3(h, rho, x, level, inner)
             h_points += points
-        values.append(float(np.dot(f if k == 2 else f * inner, w)))
+        values.append(float(np.add.reduce((f if k == 2 else f * inner) * w)))
         levels.append((level, h_points, values[-1]))
         if len(values) >= 2 and abs(values[-1] - values[-2]) <= 0.5 * tol:
             return values[-1], max(abs(values[-1] - values[-2]), 1e-16), "", tuple(levels)

@@ -4,13 +4,13 @@ The target event is S_n in I_n = [n(rho1 + mu), n(rho2 + mu)] for a window
 (rho1, rho2) shrinking to a non-integer excess rho.  Estimators:
 
 estimate_naive        hit counting over replicated row sums.
+estimate_conditional  conditional Monte Carlo: the largest coordinate integrated out
+                      through the exact tail, unbiased, every replica contributing.
 exact_dp              exact window mass for DiscreteGrid schemes by one exponentially
                       tilted FFT, exact to round-off relative to the window mass.
 predicted_window_prob the asymptotic prediction C(n,k) * width * n^(-alpha k) * K.
 jump_sum_window_prob  P(T_k in [n s1, n s2]) for the k-fold sum alone, with
                       importance boosting (all coordinates conditioned big).
-estimate_structured   C(n,k) * P(T_k in inner window), the dominant-configuration
-                      approximation.
 conditional_profiles  rejection sampling of full rows given S_n in I_n,
                       decomposed into eps-big jumps and bulk.
 
@@ -45,11 +45,11 @@ __all__ = [
     "ConditionalSample",
     "GofResult",
     "estimate_naive",
+    "estimate_conditional",
     "exact_dp",
     "exact_sum_distribution",
     "predicted_window_prob",
     "jump_sum_window_prob",
-    "estimate_structured",
     "conditional_profiles",
     "structure_fraction",
     "jump_size_gof",
@@ -171,6 +171,14 @@ class GofResult:
 # estimators
 
 
+def _checked_interval(spec: Scheme, n: int, window: RhoWindow, mu_ref: float, samples: int) -> tuple[float, float]:
+    if samples < 10_000:
+        raise ValueError("need at least 1e4 samples for a window estimate")
+    if not math.isnan(spec.alpha):
+        window.validate_for_alpha(spec.alpha)
+    return window.interval(n, mu_ref)
+
+
 def estimate_naive(
     spec: Scheme,
     n: int,
@@ -180,16 +188,50 @@ def estimate_naive(
     seed: int = 0,
 ) -> EstimateResult:
     """Hit-counting estimate of P(S_n in I_n) with binomial standard error."""
-    if samples < 10_000:
-        raise ValueError("need at least 1e4 samples for a window estimate")
-    if not math.isnan(spec.alpha):
-        window.validate_for_alpha(spec.alpha)
-    lo, hi = window.interval(n, mu_ref)
+    lo, hi = _checked_interval(spec, n, window, mu_ref, samples)
     s = sample_sums(spec, n, samples, seed)
     hits = int(np.count_nonzero((s >= lo) & (s <= hi)))
     if hits < 25:
         warnings.warn(f"only {hits} hits out of {samples} samples; estimate is unreliable", stacklevel=2)
     return _binomial_result(hits, samples, method="naive")
+
+
+def estimate_conditional(
+    spec: Scheme,
+    n: int,
+    window: RhoWindow,
+    mu_ref: float,
+    samples: int,
+    seed: int = 0,
+) -> EstimateResult:
+    """Conditional Monte Carlo estimate of P(S_n in I_n) (Asmussen & Kroese 2006), unbiased for every scheme.
+
+    P(S_n in I) = n P(S_n in I, W_n the largest coordinate), ties broken by independent uniforms.  A replica
+    draws n - 1 values with sum S, maximum M and tau of them equal to M, and integrates W = W_n out given them:
+    n [P(W in [lo - S, hi - S], W > M) + 1{M in [lo - S, hi - S]} P(W = M) / (tau + 1)], both read from
+    `tail` with P(W >= a) = tail(n, a^-), so lattice atoms count exactly.  `std_error` is the replicas'
+    sample SD / sqrt(samples); `hits` counts the replicas with a positive contribution.
+    """
+    if n < 2:
+        raise ValueError(f"the conditional estimator needs n >= 2; got {n}")
+    lo, hi = _checked_interval(spec, n, window, mu_ref, samples)
+
+    def at_least(y):  # P(W >= y)
+        return spec.tail(n, np.nextafter(y, -np.inf))
+
+    def block(rng, rows):
+        w = spec.sample(n, rng, (rows, n - 1))
+        s, m = w.sum(axis=1), w.max(axis=1)
+        ties = np.count_nonzero(w == m[:, None], axis=1)
+        a, b, above_m = lo - s, hi - s, spec.tail(n, m)
+        # W in [a, b] and W > M: from max(a, M^+), as tail is nonincreasing
+        beyond = np.maximum(np.minimum(at_least(a), above_m) - spec.tail(n, b), 0.0)
+        at_m = np.where((a <= m) & (m <= b), np.maximum(at_least(m) - above_m, 0.0) / (ties + 1), 0.0)
+        return n * (beyond + at_m)
+
+    z = np.concatenate([np.empty(0), *_map_blocks(block, n - 1, samples, seed)])
+    se, hits = float(z.std(ddof=1)) / math.sqrt(samples), int(np.count_nonzero(z > 0.0))
+    return EstimateResult(prob=float(z.mean()), std_error=se, samples=samples, hits=hits, method="conditional")
 
 
 def _check_grid(spec: DiscreteGrid, n: int) -> None:
@@ -316,39 +358,6 @@ def jump_sum_window_prob(
     return EstimateResult(prob=weight * p, std_error=se, samples=samples, hits=hits, method=method)
 
 
-def estimate_structured(
-    spec: Scheme,
-    n: int,
-    window: RhoWindow,
-    samples: int,
-    seed: int = 0,
-    delta_frac: float = 0.05,
-) -> EstimateResult:
-    """Dominant-configuration estimate C(n,k) * P(T_k in inner window).
-
-    Approximates the leading event: exactly k big coordinates whose sum
-    falls in the window shrunk by `delta_frac` of its width at each end,
-    the remaining n-k coordinates taken to stay near their mean (a bulk
-    factor of one).  Contributions from misplaced jump sums, extra big
-    jumps and too few big jumps are omitted; they vanish asymptotically
-    but the estimator is an approximation at finite n and is
-    cross-validated against estimate_naive, not claimed unbiased.
-    """
-    k = window.k
-    r1, r2 = window.bounds(n)
-    delta = delta_frac * window.width(n)
-    inner = jump_sum_window_prob(spec, k, n, r1 + delta, r2 - delta, samples, seed=seed)
-    log_binom = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-    prob = math.exp(log_binom) * inner.prob
-    se = math.exp(log_binom) * inner.std_error
-    if prob > 1.0:
-        warnings.warn("structured estimate exceeded 1; window too wide for the factorization", stacklevel=2)
-        prob, se = 1.0, min(se, 1.0)
-    return EstimateResult(
-        prob=prob, std_error=se, samples=inner.samples, hits=inner.hits, method="structured"
-    )
-
-
 # ---------------------------------------------------------------------------
 # conditional structure
 
@@ -439,14 +448,10 @@ def structure_fraction(
     profiles = tuple(profiles)
     if not profiles:
         return 0.0
-    good = 0
-    for p in profiles:
-        ok = (
-            p.n_big == k
-            and abs(p.big_sum - rho * n) <= gamma * n
-            and abs(p.bulk_sum - mu_ref * n) <= gamma * n
-        )
-        good += bool(ok)
+    good = sum(
+        p.n_big == k and abs(p.big_sum - rho * n) <= gamma * n and abs(p.bulk_sum - mu_ref * n) <= gamma * n
+        for p in profiles
+    )
     return good / len(profiles)
 
 
@@ -481,11 +486,9 @@ def jump_size_gof(
 
     skipped = 0
     if values is None:
-        if isinstance(profiles, ConditionalSample):
-            n = profiles.n
-            plist = profiles.profiles
-        else:
+        if not isinstance(profiles, ConditionalSample):
             raise ValueError("pass a ConditionalSample (or explicit `values`)")
+        n, plist = profiles.n, profiles.profiles
         vals = []
         for p in plist:
             if p.n_big != k:
@@ -553,25 +556,23 @@ def ratio_sweep(
     samples_per_n: int,
     krho: KrhoResult,
     seed: int = 0,
-    structured_samples: int = 0,
     alpha: float | None = None,
 ) -> list[dict]:
     """Per-n table of (n, method, prob, std_error, rhs, ratio over the prediction).
 
     DiscreteGrid schemes use the exact convolution oracle; otherwise the
-    naive hit-counting estimator, plus optionally the structured estimator.
+    naive hit-counting estimator.
     `alpha` overrides the scheme's tail index in the prediction (needed for
     DiscreteGrid schemes, which have none).  A per-n domain error
     (`ValueError`, e.g. the exact-DP cell cap) is recorded as a row with an
     `error` field and the sweep continues; any other exception propagates.
     """
-    if alpha is None:
-        alpha = spec.alpha
+    alpha = spec.alpha if alpha is None else alpha
     if not math.isfinite(alpha):
         raise ValueError("scheme has no tail index; pass alpha explicitly")
     rows: list[dict] = []
     for i, n in enumerate(n_list):
-        # SeedSequence((seed, i)) gives each (seed, row) its own stream; the structured column takes its first child
+        # SeedSequence((seed, i)) gives each (seed, row) its own stream
         row_seed = np.random.SeedSequence((seed, i))
         try:
             mu_n, _ = spec.mu_n(n)
@@ -581,19 +582,14 @@ def ratio_sweep(
                 est = EstimateResult(prob=p, std_error=0.0, samples=0, hits=0, method="exact_dp")
             else:
                 est = estimate_naive(spec, n, window, mu_n, samples_per_n, seed=row_seed)
-            row = {
+            rows.append({
                 "n": n,
                 "method": est.method,
                 "prob": est.prob,
                 "std_error": est.std_error,
                 "rhs": rhs,
                 "ratio": est.prob / rhs if rhs > 0 else math.nan,
-            }
-            if structured_samples > 0 and not isinstance(spec, DiscreteGrid):
-                st = estimate_structured(spec, n, window, structured_samples, seed=row_seed.spawn(1)[0])
-                row["structured"] = st.prob
-                row["structured_ratio"] = st.prob / rhs if rhs > 0 else math.nan
-            rows.append(row)
+            })
         except ValueError as exc:  # per-n domain errors recorded, sweep continues
             rows.append({"n": n, "error": f"{type(exc).__name__}: {exc}"})
     return rows

@@ -59,7 +59,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EstimateResult:
-    """A hit-counting probability estimate with its binomial standard error."""
+    """A probability estimate with its standard error (binomial for hit counting)."""
 
     prob: float
     std_error: float
@@ -202,6 +202,7 @@ class TruncatedPareto(Scheme):
         return 1.0 - (self.c / self.alpha) * float(n) ** (-self.alpha)
 
     def tail(self, n, y):
+        self.check_level(n)
         y = np.asarray(y, dtype=float)
         z, n = self._norm(n), float(n)
         # y^-a - n^-a = n^-a expm1(-a log(y/n)) without cancellation; log1p keeps log(y/n) accurate near n
@@ -231,6 +232,7 @@ class TruncatedPareto(Scheme):
         return np.multiply(self.c, out, out=out)[()]
 
     def mu_n(self, n):
+        self.check_level(n)
         a, c, x0 = self.alpha, self.c, self.x0
         raw = (c / (a - 1.0)) * (x0 ** (1.0 - a) - float(n) ** (1.0 - a))
         return raw / self._norm(n), 0.0

@@ -63,9 +63,10 @@ def test_manifest_library_version_is_null_when_not_installed(tmp_path, monkeypat
 @pytest.mark.parametrize(
     "rho, k, text",
     [
-        ("1.5", "2", '{\n  "abs_error_bound": 2.6645352591003757e-15,\n  "diverged": false,\n  "method": "grid",\n  "value": 5.237828008789242\n}\n'),
-        ("2.5", "3", '{\n  "abs_error_bound": 4.440892098500626e-16,\n  "diverged": false,\n  "method": "grid",\n  "value": 1.8002900088246407\n}\n'),
+        ("1.5", "2", '{\n  "abs_error_bound": 8.881784197001252e-16,\n  "diverged": false,\n  "method": "grid",\n  "value": 5.237828008789241\n}\n'),
+        ("2.5", "3", '{\n  "abs_error_bound": 1e-16,\n  "diverged": false,\n  "method": "grid",\n  "value": 1.8002900088246405\n}\n'),
     ],
+    ids=["k2", "k3"],
 )
 def test_krho_output_bytes(tmp_path, capsys, pareto_cfg, rho, k, text):
     # the refinement trace stays off stdout and krho.json, and the grid values keep their bits
@@ -207,6 +208,26 @@ def test_estimate_and_sweep(tmp_path, grid_cfg, capsys):
     assert len(lines) == 3
 
 
+def test_estimate_conditional(tmp_path, pareto_cfg, capsys):
+    argv = [
+        "--outdir", str(tmp_path),
+        "estimate", "--scheme", str(pareto_cfg), "--n", "64", "--rho", "0.5",
+        "--width", "0.2", "--samples", "20000", "--seed", "3", "--method", "conditional",
+    ]
+    assert run(argv) == 0
+    est = json.loads(capsys.readouterr().out)
+    assert est == json.loads((tmp_path / "estimate.json").read_text())
+    assert sorted(est) == ["hits", "interval", "method", "mu_n", "prob", "samples", "std_error"]
+    assert est["method"] == "conditional" and est["samples"] == 20000
+    assert 0 < est["hits"] <= 20000
+    assert 0.0 < est["std_error"] < 0.05 * est["prob"]
+    mu_n = schemes.TruncatedPareto(1.5, 1.5).mu_n(64)[0]
+    assert est["mu_n"] == mu_n and est["interval"] == [64 * (0.4 + mu_n), 64 * (0.6 + mu_n)]
+    manifest = json.loads((tmp_path / "estimate.manifest.json").read_text())
+    assert manifest["subcommand"] == "estimate" and manifest["seed"] == 3
+    assert manifest["params"]["method"] == "conditional"
+
+
 def test_condition_writes_profiles(tmp_path, pareto_cfg, capsys):
     code = run(
         [
@@ -241,7 +262,11 @@ def test_gof_runs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])
-def test_gof_rejects_nonpositive_bins(tmp_path, capsys, bins):
+def test_gof_rejects_nonpositive_bins(tmp_path, capsys, monkeypatch, bins):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("--bins is checked before conditional_profiles runs")
+
+    monkeypatch.setattr(cli.rare_event, "conditional_profiles", no_sampling)
     cfg = tmp_path / "p12.cfg"
     cfg.write_text("shape = truncated_pareto\nc = 1.2\nalpha = 1.2\n")
     argv = [
@@ -366,7 +391,7 @@ def test_estimate_eps_flag_is_usage_error(tmp_path, pareto_cfg):
     argv = [
         "--outdir", str(tmp_path),
         "estimate", "--scheme", str(pareto_cfg), "--n", "256", "--rho", "0.5",
-        "--width", "0.1", "--method", "structured", "--eps", "0.05",
+        "--width", "0.1", "--method", "conditional", "--eps", "0.05",
     ]
     assert run(argv) == 2
 

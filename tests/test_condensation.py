@@ -1,5 +1,7 @@
 import hashlib
 import math
+import os
+import subprocess
 import sys
 import threading
 
@@ -47,7 +49,7 @@ def reference_slab(h, rho, k, tol):
                 vals = counted(y.ravel()) * counted((rho - x[r, None] - y).ravel())
                 inner[r] = np.sum(vals.reshape(y.shape) * wy, axis=1)
             f = counted(x) * inner
-        values.append(float(np.dot(f, w)))
+        values.append(float(np.add.reduce(f * w)))
         if len(values) >= 2 and abs(values[-1] - values[-2]) <= 0.5 * tol:
             return values[-1], max(abs(values[-1] - values[-2]), 1e-16), "", points, values
     bound = abs(values[-1] - values[-2])
@@ -317,6 +319,22 @@ class TestSlabIntegral:
         monkeypatch.setattr("bigjumps.condensation._BLOCK", 1 << 12)  # one row per call at level 9
         assert condensation_constant(sc.h, 2.5, 3, tol=1e-8, method="grid") == want
         assert jump_marginal_mass(TP.h, 2.5, 3, 0.6, 0.8) == mass
+
+    def test_grid_does_not_depend_on_blas_threads(self):
+        # the outer sum of a level 11 or 12 rule (14.7k and 29.5k nodes) would go to a threaded BLAS dot
+        code = (
+            "from bigjumps import SmoothCutoff, condensation_constant as K; h = SmoothCutoff(1.5, 1.5).h; "
+            "print(repr(K(h, 1.5, 2, tol=1e-10, method='grid'))); print(repr(K(h, 2.5, 3, tol=1e-8, method='grid')))"
+        )
+        out = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert "(12, " in out[0] and "(9, " in out[0]
+        assert out[0] == out[1]
 
     @staticmethod
     def thread_spy(f):

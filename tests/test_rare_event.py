@@ -6,12 +6,14 @@ from scipy.stats import chi2, ks_2samp
 
 from bigjumps import (
     DiscreteGrid,
+    LatticeBall,
     RhoWindow,
+    SmoothCutoff,
     TruncatedPareto,
     condensation_constant,
     conditional_profiles,
+    estimate_conditional,
     estimate_naive,
-    estimate_structured,
     exact_dp,
     exact_sum_distribution,
     jump_size_gof,
@@ -204,33 +206,84 @@ class TestJumpSumWindow:
             jump_sum_window_prob(TP, 2, 64, 0.5, 0.9, samples=10_000, seed=6)
 
 
-class TestEstimateStructured:
-    def test_discrete_grid_against_exact(self):
-        # thin-tailed grid scheme, window exactly 4 grid steps wide: the
-        # dominant-configuration estimate tracks the exact oracle within 15%
-        i = np.arange(17.0)
-        with np.errstate(divide="ignore"):
-            tail = np.where(i >= 1, i ** -3.0, 0.0)
-        pmf = tail / tail.sum() * 0.02
-        pmf[0] = 0.98
-        dg = DiscreteGrid(pmf=tuple(pmf))
+def _power_grid(m: int, power: float, big: float) -> DiscreteGrid:
+    """Mass 1 - big at 0 and `big` spread over the indices 1..m as i^-power."""
+    i = np.arange(m + 1.0)
+    with np.errstate(divide="ignore"):
+        tail = np.where(i >= 1, i ** -power, 0.0)
+    pmf = tail / tail.sum() * big
+    pmf[0] = 1.0 - big
+    return DiscreteGrid(pmf=tuple(pmf))
+
+
+class TestEstimateConditional:
+    @pytest.mark.parametrize(
+        "dg, rho, width",
+        [
+            (_power_grid(4, 2.0, 0.1), 0.3, 0.3),
+            (_power_grid(6, 3.0, 0.05), 0.45, 0.2),
+            (_power_grid(8, 2.5, 0.08), 0.55, 0.25),
+            (_power_grid(10, 3.0, 0.02), 0.8, 0.3),
+            (_power_grid(12, 2.0, 0.05), 0.6, 0.15),
+            (_power_grid(16, 3.0, 0.02), 0.53, 0.25),
+            (DiscreteGrid(pmf=(0.6, 0.2, 0.1, 0.05, 0.05)), 0.35, 0.3),  # ties at the maximum are common
+        ],
+    )
+    def test_discrete_grid_against_exact(self, dg, rho, width):
+        # lattice atoms everywhere, ties at the maximum included: unbiased against the exact oracle
         n = 32
         mu, _ = dg.mu_n(n)
-        w = RhoWindow(0.53, ("fixed", 0.25))  # 0.25 * 32 = 8 = 4 steps of n/m = 2
+        w = RhoWindow(rho, ("fixed", width))
         exact = exact_dp(dg, n, w.interval(n, mu))
-        est = estimate_structured(dg, n, w, samples=400_000, seed=8, delta_frac=0.0)
-        assert est.prob == pytest.approx(exact, rel=0.15)
+        est = estimate_conditional(dg, n, w, mu, samples=50_000, seed=8)
+        assert est.method == "conditional" and est.samples == 50_000
+        assert exact > 0.0 and abs(est.prob - exact) <= 4 * est.std_error
 
-    def test_cross_validates_against_naive_at_large_n(self):
-        # the two estimators target the same limit; at n = 1024 the residual
-        # o(1) gap sits inside combined 3 sigma at these sample sizes
-        n = 1024
+    def test_closed_window_ends_on_grid_points(self):
+        # the grid step is 4 and the mean value 4: lo = 68 and hi = 76 are sums of grid values, and both count
+        dg = DiscreteGrid(pmf=(0.4, 0.3, 0.2, 0.1, 0.0))
+        w = RhoWindow(0.5, ("fixed", 0.5))
+        assert w.interval(16, 4.0) == (68.0, 76.0)
+        exact = exact_dp(dg, 16, (68.0, 76.0))
+        est = estimate_conditional(dg, 16, w, 4.0, samples=50_000, seed=8)
+        assert abs(est.prob - exact) <= 4 * est.std_error
+        assert exact - exact_dp(dg, 16, (68.5, 75.5)) > 20 * est.std_error  # the end atoms are resolved
+
+    @staticmethod
+    def agree(spec, n, rho, naive_samples, conditional_samples=20_000):
+        w = RhoWindow(rho, ("fixed", 0.1))
+        mu, _ = spec.mu_n(n)
+        naive = estimate_naive(spec, n, w, mu, samples=naive_samples, seed=9)
+        est = estimate_conditional(spec, n, w, mu, samples=conditional_samples, seed=10)
+        assert abs(naive.prob - est.prob) <= 4 * math.hypot(naive.std_error, est.std_error)
+        return naive, est
+
+    @pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+    def test_truncated_pareto_against_naive(self, n):
+        naive, est = self.agree(TP, n, 0.5, 20_000, 10_000)
+        # every replica contributes: the relative SE at 10k replicas beats naive's at 20k
+        assert est.std_error / est.prob < naive.std_error / naive.prob
+
+    def test_truncated_pareto_two_jumps_against_naive(self):
+        naive, est = self.agree(TP, 256, 1.5, 200_000)
+        assert naive.hits >= 100 and est.std_error < 0.05 * est.prob
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [(SmoothCutoff(c=1.5, alpha=1.5), 256), (LatticeBall(d=1, beta=1.5), 257), (LatticeBall(d=2, beta=3.0), 289)],
+        ids=["smooth_cutoff", "lattice_ball_d1", "lattice_ball_d2"],
+    )
+    def test_other_schemes_against_naive(self, spec, n):
+        self.agree(spec, n, 0.5, 100_000)
+
+    def test_checks(self):
         w = RhoWindow(0.5, ("fixed", 0.1))
-        mu, _ = TP.mu_n(n)
-        naive = estimate_naive(TP, n, w, mu, samples=60_000, seed=9)
-        struct = estimate_structured(TP, n, w, samples=200_000, seed=10, delta_frac=0.0)
-        sigma = math.sqrt(naive.std_error ** 2 + struct.std_error ** 2 + (0.08 * naive.prob) ** 2)
-        assert abs(naive.prob - struct.prob) <= 3 * sigma
+        with pytest.raises(ValueError, match="n >= 2"):
+            estimate_conditional(DG, 1, w, 0.5, samples=10_000)
+        with pytest.raises(ValueError, match="1e4 samples"):
+            estimate_conditional(TP, 64, w, TP.mu_n(64)[0], samples=9_999)
+        with pytest.raises(ValueError, match="gamma"):
+            estimate_conditional(TP, 64, RhoWindow(0.5, ("power", 1.0, 0.6)), TP.mu_n(64)[0], samples=10_000)
 
 
 class TestConditionalProfiles:

@@ -20,8 +20,8 @@ from bigjumps import (
     TruncatedPareto,
     condensation_constant,
     conditional_profiles,
+    estimate_conditional,
     estimate_naive,
-    estimate_structured,
     jump_marginal_mass,
     jump_size_gof,
     jump_sum_window_prob,
@@ -140,7 +140,7 @@ _TP = SCHEMES["truncated_pareto"]
 _SEEDED = {
     "estimate_naive": lambda seed: estimate_naive(_TP, 256, RhoWindow(0.5, ("fixed", 0.4)), _TP.mu_n(256)[0], 20_000, seed=seed),
     "jump_sum_window_prob": lambda seed: jump_sum_window_prob(_TP, 2, 65, 1.4, 1.6, 20_000, seed=seed),
-    "estimate_structured": lambda seed: estimate_structured(_TP, 256, RhoWindow(1.5, ("fixed", 0.2)), 20_000, seed=seed),
+    "estimate_conditional": lambda seed: estimate_conditional(_TP, 256, RhoWindow(1.5, ("fixed", 0.2)), _TP.mu_n(256)[0], 20_000, seed=seed),
     "conditional_profiles": lambda seed: conditional_profiles(
         _TP, 64, RhoWindow(0.5, ("fixed", 0.4)), eps=0.1, target_hits=50, max_samples=20_000, seed=seed
     ),
@@ -170,6 +170,10 @@ _ROWS_64 = _BLOCK // 64  # rows per block at n = 64
 _ACROSS_BLOCKS = {
     "estimate_naive": lambda: estimate_naive(_TP, 64, RhoWindow(0.5, ("fixed", 0.4)), _TP.mu_n(64)[0], 11 * _ROWS_64 + 3, seed=5),
     "lln_deviation": lambda: lln_deviation(SCHEMES["lattice_ball"], 65, 0.3, 11 * _ROWS_64 + 3, seed=5),
+    # width n - 1 = 64: 1024 rows per block, so 11 full blocks and a short one
+    "estimate_conditional": lambda: estimate_conditional(
+        SCHEMES["lattice_ball"], 65, RhoWindow(0.5, ("fixed", 0.4)), SCHEMES["lattice_ball"].mu_n(65)[0], 11 * _ROWS_64 + 3, seed=5
+    ),
     "jump_sum_boosted": lambda: jump_sum_window_prob(_TP, 2, 65, 1.4, 1.6, 7 * (_BLOCK // 2) + 3, seed=5),
     "jump_sum_plain": lambda: jump_sum_window_prob(_TP, 2, 65, 0.5, 1.5, 7 * (_BLOCK // 2) + 3, seed=5),
     # about 150 hits per block of 1024 rows: the target falls in the fifth block

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -169,6 +170,15 @@ def test_pareto_sampler_rejects_level_at_or_below_support_floor():
     with pytest.raises(ValueError, match="support floor"):
         tp.sample_above(3, 0.0, rng, 4)
     assert tp.sample_above(4, 0.0, rng, 4).max() <= 4.0
+
+
+def test_pareto_tail_and_mean_reject_level_at_or_below_support_floor():
+    # at n = x0 = 1 the normalisation 1 - (c/alpha) n^-alpha is 0: the level check runs before the division
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: TP.tail(1, 0.3), lambda: TP.mu_n(1)):
+            with pytest.raises(ValueError, match="support floor"):
+                call()
 
 
 @pytest.mark.parametrize(
