@@ -158,12 +158,14 @@ def _window(args) -> rare_event.RhoWindow:
     if getattr(args, "power_width", None):
         w0, gamma = args.power_width
         return rare_event.RhoWindow(rho=args.rho, width_rule=("power", w0, gamma))
+    if args.width is None:
+        raise ValueError("give --width or --power-width explicitly")
     return rare_event.RhoWindow(rho=args.rho, width_rule=("fixed", args.width))
 
 
 def _cmd_estimate(args):
-    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
+    spec = schemes.load_scheme_config(args.scheme)
     mu_n, _ = spec.mu_n(args.n)
     estimate = rare_event.estimate_naive if args.method == "naive" else rare_event.estimate_conditional
     est = estimate(spec, args.n, window, mu_n, args.samples, seed=args.seed)
@@ -183,8 +185,8 @@ def _cmd_estimate(args):
 
 
 def _cmd_ldp_sweep(args):
-    spec = schemes.load_scheme_config(args.scheme)
     window = _window(args)
+    spec = schemes.load_scheme_config(args.scheme)
     h = spec.h if not isinstance(spec, schemes.DiscreteGrid) else condensation.uniform_h
     krho = condensation.condensation_constant(h, rho=window.rho, k=window.k, tol=args.tol)
     rows = rare_event.ratio_sweep(spec, window, args.n_list, args.samples, krho, seed=args.seed, alpha=args.alpha)
@@ -197,21 +199,18 @@ def _cmd_ldp_sweep(args):
     )
 
 
-def _cmd_condition(args):
-    spec = schemes.load_scheme_config(args.scheme)
-    window = _window(args)
-    cond = rare_event.conditional_profiles(
+def _profiles(args, spec, window) -> rare_event.ConditionalSample:
+    return rare_event.conditional_profiles(
         spec, args.n, window, eps=args.eps, target_hits=args.hits, max_samples=args.max_samples, seed=args.seed
     )
+
+
+def _cmd_condition(args):
+    cond = _profiles(args, schemes.load_scheme_config(args.scheme), _window(args))
     path = _outdir(args) / "profiles.jsonl"
     with open(path, "w") as fh:
         for p in cond.profiles:
-            fh.write(
-                json.dumps(
-                    {"big_jumps": [[i, v] for i, v in p.big_jumps], "bulk_sum": p.bulk_sum, "s_n": p.s_n}
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(dataclasses.asdict(p)) + "\n")
     _emit(
         {
             "hits": cond.hits,
@@ -231,9 +230,7 @@ def _cmd_gof(args):
         raise ValueError(f"bins must be >= 1; got {args.bins}")
     window = _window(args)
     krho = condensation.condensation_constant(spec.h, rho=window.rho, k=window.k, tol=1e-8)
-    cond = rare_event.conditional_profiles(
-        spec, args.n, window, eps=args.eps, target_hits=args.hits, max_samples=args.max_samples, seed=args.seed
-    )
+    cond = _profiles(args, spec, window)
     res = rare_event.jump_size_gof(cond, spec.h, window.rho, window.k, krho, bins=args.bins, seed=args.seed)
     _emit(
         {
@@ -363,47 +360,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("estimate", _cmd_estimate, help="estimate P(S_n in I_n)")
-    p.add_argument("--scheme", required=True)
+    windowed = argparse.ArgumentParser(add_help=False)  # estimate and ldp-sweep
+    windowed.add_argument("--scheme", required=True)
+    windowed.add_argument("--rho", type=float, required=True)
+    windowed.add_argument("--width", type=float)
+    windowed.add_argument("--power-width", type=_power_width, help="w0:gamma for width w0*n^-gamma")
+    windowed.add_argument("--samples", type=int, default=100_000)
+    windowed.add_argument("--seed", type=int, default=0)
+
+    p = add("estimate", _cmd_estimate, parents=[windowed], help="estimate P(S_n in I_n)")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--width", type=float)
-    p.add_argument("--power-width", type=_power_width, help="w0:gamma for width w0*n^-gamma")
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", default="naive", choices=["naive", "conditional"])
 
-    p = add("ldp-sweep", _cmd_ldp_sweep, help="ratio table over an n sweep")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--width", type=float)
-    p.add_argument("--power-width", type=_power_width)
+    p = add("ldp-sweep", _cmd_ldp_sweep, parents=[windowed], help="ratio table over an n sweep")
     p.add_argument("--n-list", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--alpha", type=float, help="tail index override (required for discrete_grid schemes)")
 
-    p = add("condition", _cmd_condition, help="conditional jump profiles (JSON lines)")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--hits", type=int, default=300)
-    p.add_argument("--max-samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
+    conditioned = argparse.ArgumentParser(add_help=False)  # condition and gof
+    conditioned.add_argument("--scheme", required=True)
+    conditioned.add_argument("--n", type=int, required=True)
+    conditioned.add_argument("--rho", type=float, required=True)
+    conditioned.add_argument("--width", type=float, required=True)
+    conditioned.add_argument("--eps", type=float, required=True)
+    conditioned.add_argument("--hits", type=int, default=300)
+    conditioned.add_argument("--max-samples", type=int, default=1_000_000)
+    conditioned.add_argument("--seed", type=int, default=0)
 
-    p = add("gof", _cmd_gof, help="goodness of fit of conditioned jump sizes")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--width", type=float, required=True)
-    p.add_argument("--eps", type=float, required=True)
-    p.add_argument("--hits", type=int, default=300)
-    p.add_argument("--max-samples", type=int, default=1_000_000)
+    add("condition", _cmd_condition, parents=[conditioned], help="conditional jump profiles (JSON lines)")
+    p = add("gof", _cmd_gof, parents=[conditioned], help="goodness of fit of conditioned jump sizes")
     p.add_argument("--bins", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
 
     graph = sub.add_parser("graph", help="lattice-torus graph commands")
     gsub = graph.add_subparsers(dest="graph_command", required=True)
@@ -450,8 +436,6 @@ def run(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     started = time.time()
     try:
-        if args.command in ("estimate", "ldp-sweep") and args.width is None and args.power_width is None:
-            raise ValueError("give --width or --power-width explicitly")
         args.func(args)
         _write_manifest(args, getattr(args, "_name", args.command), started, _params(args))
     except (ValueError, OSError, MemoryError, RuntimeError) as exc:

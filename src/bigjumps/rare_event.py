@@ -21,6 +21,7 @@ than its width.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -294,7 +295,9 @@ def exact_dp(spec: DiscreteGrid, n: int, interval: tuple[float, float]) -> float
     pmf, log_m = tilt(theta, c)
     size = next_fast_len(n * spec.m + 1, real=True)
     conv = irfft(rfft(pmf, size) ** n, size)[i0 : i1 + 1]
-    return max(float(conv @ np.exp(n * log_m - theta * (np.arange(i0, i1 + 1) - n * c))), 0.0)
+    # numpy's pairwise sum, not a BLAS dot, so the bits do not depend on the BLAS thread count
+    p = float(np.add.reduce(conv * np.exp(n * log_m - theta * (np.arange(i0, i1 + 1) - n * c))))
+    return min(max(p, 0.0), 1.0)  # clipped: round-off can carry a near-full window past 1
 
 
 def predicted_window_prob(alpha: float, n: int, window: RhoWindow, krho: KrhoResult) -> float:
@@ -363,15 +366,12 @@ def jump_sum_window_prob(
 
 
 def _decompose(vector: np.ndarray, eps_n: float) -> JumpProfile:
-    big_idx = np.flatnonzero(vector > eps_n)  # strictly bigger: ties count as bulk
-    order = np.argsort(vector[big_idx])[::-1]
-    big_idx = big_idx[order]
-    big = tuple((int(i), float(vector[i])) for i in big_idx)
-    mask = np.ones(len(vector), dtype=bool)
-    mask[big_idx] = False
-    bulk = float(math.fsum(vector[mask].tolist()))
-    s_n = bulk + math.fsum(v for _, v in big)
-    return JumpProfile(big_jumps=big, bulk_sum=bulk, s_n=s_n)
+    big = vector > eps_n  # strictly bigger: ties count as bulk
+    idx = np.flatnonzero(big)
+    idx = idx[np.argsort(vector[idx])[::-1]]
+    values = vector[idx].astype(float).tolist()
+    bulk = math.fsum(vector[~big].tolist())
+    return JumpProfile(big_jumps=tuple(zip(idx.tolist(), values)), bulk_sum=bulk, s_n=bulk + math.fsum(values))
 
 
 def conditional_profiles(
@@ -402,25 +402,27 @@ def conditional_profiles(
         s = w.sum(axis=1)
         return rows, w[(s >= lo) & (s <= hi)]
 
-    profiles: list[JumpProfile] = []
     used = 0
-    for rows, hits in _map_blocks(block, n, max_samples, seed):
-        used += rows
-        for row in hits:  # decomposed in the caller, so no row past the target ever is
-            prof = _decompose(row, eps_n)
-            if lo <= prof.s_n <= hi:  # recheck with the exact-identity sum
-                profiles.append(prof)
-                if len(profiles) == target_hits:
-                    break
-        if len(profiles) == target_hits:
-            break
+
+    def accepted():  # rows are decomposed here, lazily, so no row past the target ever is
+        nonlocal used
+        for rows, hits in _map_blocks(block, n, max_samples, seed):
+            used += rows
+            for row in hits:
+                prof = _decompose(row, eps_n)
+                if lo <= prof.s_n <= hi:  # recheck with the exact-identity sum
+                    yield prof
+
+    gen = accepted()
+    profiles = tuple(itertools.islice(gen, target_hits))
+    gen.close()
     if len(profiles) < target_hits:
         warnings.warn(
             f"collected {len(profiles)} of {target_hits} hits after {used} replicas",
             stacklevel=2,
         )
     return ConditionalSample(
-        profiles=tuple(profiles),
+        profiles=profiles,
         samples_used=used,
         target_hits=target_hits,
         n=n,
@@ -430,33 +432,21 @@ def conditional_profiles(
     )
 
 
-def structure_fraction(
-    profiles: Sequence[JumpProfile] | ConditionalSample,
-    k: int,
-    gamma: float,
-    mu_ref: float,
-    rho: float,
-    n: int | None = None,
-) -> float:
-    """Fraction of profiles with exactly k big jumps, big-jump sum within
-    gamma*n of rho*n, and bulk within gamma*n of mu_ref*n."""
-    if isinstance(profiles, ConditionalSample):
-        n = profiles.n
-        profiles = profiles.profiles
-    elif n is None:
-        raise ValueError("pass a ConditionalSample or give the row size n explicitly")
-    profiles = tuple(profiles)
-    if not profiles:
+def structure_fraction(cond: ConditionalSample, k: int, gamma: float, mu_ref: float, rho: float) -> float:
+    """Fraction of the conditioned rows with exactly k big jumps, big-jump sum within gamma*n of rho*n,
+    and bulk within gamma*n of mu_ref*n, n the row size `cond.n`; 0.0 for a sample without hits."""
+    if not cond.profiles:
         return 0.0
+    n = cond.n
     good = sum(
         p.n_big == k and abs(p.big_sum - rho * n) <= gamma * n and abs(p.bulk_sum - mu_ref * n) <= gamma * n
-        for p in profiles
+        for p in cond.profiles
     )
-    return good / len(profiles)
+    return good / cond.hits
 
 
 def jump_size_gof(
-    profiles: Sequence[JumpProfile] | ConditionalSample,
+    cond: ConditionalSample | None,
     h: Callable,
     rho: float,
     k: int,
@@ -465,15 +455,17 @@ def jump_size_gof(
     seed: int = 0,
     values: np.ndarray | None = None,
 ) -> GofResult:
-    """Chi-square test of the first k-1 normalized jump sizes against the limit law.
+    """Chi-square test of the first k-1 normalized jump sizes of `cond` against the limit law.
 
-    Profiles without exactly k big jumps are skipped (count reported).  The
-    k jumps are put in random order and the first k-1 taken, normalized by
-    n.  Values outside the limit support are excluded with a reported count
-    and the expected bin masses renormalized to the in-support sample size:
-    the limit statement concerns the density on its support, while spill is
-    a finite-n rate effect.  Bins with expected count < 5 are merged into
-    their neighbour (count reported).
+    Rows without exactly k big jumps are skipped (count reported).  Each
+    kept row's k jumps are shuffled, in row order, and the first k-1 taken,
+    normalized by n.  Explicit `values` (already normalized) replace the
+    jumps of `cond`, which may then be None.  Values outside the limit
+    support are excluded with a reported count and the expected bin masses
+    renormalized to the in-support sample size: the limit statement
+    concerns the density on its support, while spill is a finite-n rate
+    effect.  Bins with expected count < 5 are merged into their left
+    neighbour, the leftmost into its right one (count reported).
     """
     from scipy.special import chdtrc
     if k < 2:
@@ -482,22 +474,15 @@ def jump_size_gof(
         raise ValueError(f"bins must be >= 1; got {bins}")
     if krho.diverged:
         raise ValueError("condensation constant diverged")
-    rng = np.random.default_rng(seed)
 
     skipped = 0
     if values is None:
-        if not isinstance(profiles, ConditionalSample):
-            raise ValueError("pass a ConditionalSample (or explicit `values`)")
-        n, plist = profiles.n, profiles.profiles
-        vals = []
-        for p in plist:
-            if p.n_big != k:
-                skipped += 1
-                continue
-            jumps = np.array([v for _, v in p.big_jumps], dtype=float)
+        kept = [np.array([v for _, v in p.big_jumps]) for p in cond.profiles if p.n_big == k]
+        rng = np.random.default_rng(seed)
+        for jumps in kept:
             rng.shuffle(jumps)
-            vals.extend(jumps[: k - 1] / n)
-        values = np.asarray(vals, dtype=float)
+        values = np.array([jumps[: k - 1] for jumps in kept], dtype=float).reshape(-1) / cond.n
+        skipped = cond.hits - len(kept)
 
     slo = max(0.0, rho - (k - 1))
     shi = min(1.0, rho)
@@ -512,7 +497,8 @@ def jump_size_gof(
     masses = np.array([jump_marginal_mass(h, rho, k, edges[i], edges[i + 1]) for i in range(bins)])
     expected = masses / masses.sum() * values.size
 
-    # merge bins with expected < 5 into their left neighbour (leftmost merges right)
+    # merge bins with expected < 5 into their left neighbour (leftmost merges right); bins left of i
+    # already hold >= 5 and merging only raises them, so one pass needs no restart
     merged = 0
     obs, exp = list(observed.astype(float)), list(expected)
     edge_list = list(edges)
@@ -525,7 +511,6 @@ def jump_size_gof(
             del exp[i], obs[i]
             del edge_list[i if i > 0 else 1]  # drop the edge shared with the absorbing bin
             merged += 1
-            i = 0
         else:
             i += 1
     obs_arr, exp_arr = np.asarray(obs), np.asarray(exp)

@@ -263,8 +263,9 @@ def _cube_ball_volume(d: int, a: np.ndarray) -> np.ndarray:
         t = np.ascontiguousarray(np.linspace(0.0, top, 513, axis=-1))
         s = np.sqrt(np.maximum((aj * aj)[:, None] - t * t, 0.0))
         if d == 3:
-            # cross-section disk covers the unit square once s >= sqrt(2)/2
-            cross = np.where(s * s >= 0.5, 1.0, _disk_square_area(np.minimum(s, math.sqrt(0.5))))
+            # cross-section disk covers the unit square once s >= sqrt(2)/2: its area is needed only below
+            cross, part = np.ones_like(s), s * s < 0.5
+            cross[part] = _disk_square_area(s[part])
         else:
             cross = g_eval(d - 1, 2.0 * s / math.sqrt(d - 1))
         out[j : j + _VOLUME_ROWS] = np.where(aj * aj >= d / 4.0, 1.0, 2.0 * top * np.array([_SIMPSON @ row for row in cross]))
@@ -315,13 +316,16 @@ def g_prime(d: int, r):
 
 
 def g_inverse(d: int, a):
-    """Monotone bisection solve of g(r) = a on (0, 1), elementwise, to 1e-12; a scalar a gives a NumPy float64.
+    """Solve g(r) = a on (0, 1) elementwise; a scalar a gives a NumPy float64.
 
-    Every interval is 2^-j wide after j halvings, so all elements stop together.
+    Exact for d = 1, where g(r) = r.  For d >= 2 a monotone bisection to 1e-12:
+    every interval is 2^-j wide after j halvings, so all elements stop together.
     """
     a = np.asarray(a, dtype=float)
     if not np.all((a > 0.0) & (a < 1.0)):
         raise ValueError("g_inverse is defined on (0, 1)")
+    if d == 1:
+        return a.copy()[()]
     lo, hi = np.zeros_like(a), np.ones_like(a)
     for _ in range(60):
         mid = 0.5 * (lo + hi)
@@ -374,7 +378,7 @@ def calibrate_h(
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1; got {samples}")
-    rows, ginvs = [], a_list if d == 1 else g_inverse(d, np.asarray(a_list, dtype=float))
+    rows, ginvs = [], g_inverse(d, np.asarray(a_list, dtype=float))
     for i, N in enumerate(N_list):
         n = TorusConfig(d=d, N=int(N), beta=beta, seed=seed).n
         rng = np.random.default_rng(np.random.SeedSequence((seed, i)))

@@ -1,6 +1,7 @@
 import importlib.metadata
 import json
 import platform
+import re
 
 import numpy as np
 import pytest
@@ -182,6 +183,27 @@ def test_estimate_requires_width(tmp_path, pareto_cfg, capsys, command):
     code = run(["--outdir", str(tmp_path), *command, "--scheme", str(pareto_cfg), "--rho", "0.5", "--samples", "20000"])
     assert code == 1
     assert "--width or --power-width" in capsys.readouterr().err
+
+
+_WINDOWED = ["--scheme", "--rho", "--width", "--power-width", "--samples", "--seed"]
+_CONDITIONED = ["--scheme", "--n", "--rho", "--width", "--eps", "--hits", "--max-samples", "--seed"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("estimate", [*_WINDOWED, "--n", "--method"]),
+        ("ldp-sweep", [*_WINDOWED, "--n-list", "--tol", "--alpha"]),
+        ("condition", _CONDITIONED),
+        ("gof", [*_CONDITIONED, "--bins"]),
+    ],
+)
+def test_help_lists_every_flag(capsys, command, flags):
+    assert run([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    assert sorted(re.findall(r"^  (--[\w-]+)", out, re.M)) == sorted(flags)
+    if "--power-width" in flags:
+        assert "w0:gamma for width w0*n^-gamma" in out
 
 
 def test_estimate_and_sweep(tmp_path, grid_cfg, capsys):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from bigjumps import (
     estimate_naive,
     exact_dp,
     exact_sum_distribution,
+    jump_marginal_mass,
     jump_size_gof,
     jump_sum_window_prob,
     predicted_window_prob,
@@ -126,6 +130,28 @@ class TestExactDp:
             assert exact_dp(dg, n, (a * step, b * step)) == pytest.approx(want, rel=1e-11, abs=0.0), (a, b)
         # below the support of S_10, n * min index = 10 cells up, the mass is exactly zero
         assert exact_dp(DiscreteGrid(pmf=(0.0, 0.5, 0.5)), 10, (0.0, 45.0)) == 0.0
+
+    def test_does_not_depend_on_blas_threads(self):
+        # a 12001-cell untilt as a BLAS dot moved the last bit between one and two OpenBLAS threads
+        code = (
+            "from bigjumps import DiscreteGrid, exact_dp; g = DiscreteGrid(tuple([1 / 101] * 101)); "
+            "s = g.grid_step(5000); print(repr(exact_dp(g, 5000, ((250000 - 6000) * s, (250000 + 6000) * s))))"
+        )
+        out = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert out[0] == out[1]
+
+    def test_window_holding_all_the_mass_is_at_most_one(self):
+        # 9.7 standard deviations each side of the mean; the untilted sum came to 1 + 5.7e-13 unclipped
+        g = DiscreteGrid(tuple([1 / 101] * 101))
+        s = g.grid_step(5000)
+        p = exact_dp(g, 5000, ((250000 - 20000) * s, (250000 + 20000) * s))
+        assert p <= 1.0 and p == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_discrete(self):
         with pytest.raises(TypeError):
@@ -350,9 +376,12 @@ class TestStructureFraction:
         cond = conditional_profiles(TP, 128, w, eps=0.3, target_hits=40, max_samples=400_000, seed=16)
         assert structure_fraction(cond, k=7, gamma=10.0, mu_ref=3.0, rho=0.5) == 0.0
 
-    def test_needs_row_size(self):
-        with pytest.raises(ValueError):
-            structure_fraction([], k=1, gamma=0.1, mu_ref=3.0, rho=0.5)
+    def test_no_hits_gives_zero(self):
+        w = RhoWindow(20.5, ("fixed", 0.01))
+        with pytest.warns(UserWarning, match="collected"):
+            cond = conditional_profiles(DG, 32, w, eps=0.2, target_hits=100, max_samples=2_000, seed=14)
+        assert cond.hits == 0
+        assert structure_fraction(cond, k=1, gamma=0.1, mu_ref=3.0, rho=20.5) == 0.0
 
 
 class TestJumpSizeGof:
@@ -397,6 +426,40 @@ class TestJumpSizeGof:
         res = jump_size_gof(None, TP.h, 1.2, 2, kr, bins=8, values=vals)
         assert res.merged_bins > 0 and 1 < len(res.observed) < 8
         assert res.pvalue == float(chi2.sf(res.statistic, res.dof))
+
+    @staticmethod
+    def restart_merge(observed, expected, edges):
+        """Reference: the merge as first written, rescanning from the leftmost bin after every merge."""
+        obs, exp, edge_list, merged, i = list(observed.astype(float)), list(expected), list(edges), 0, 0
+        while i < len(exp):
+            if exp[i] < 5.0 and len(exp) > 1:
+                j = i - 1 if i > 0 else 1
+                exp[j] += exp[i]
+                obs[j] += obs[i]
+                del exp[i], obs[i]
+                del edge_list[i if i > 0 else 1]
+                merged += 1
+                i = 0
+            else:
+                i += 1
+        return np.asarray(obs), np.asarray(exp), np.asarray(edge_list), merged
+
+    def test_merge_matches_restart_reference(self):
+        # h rising from 0 makes both ends of the k = 2 marginal light: at 30 values the expected counts are
+        # 1.2, 2.9, 4.8, 6.0, 6.0, 4.8, 2.9, 1.2, so the leftmost bin merges twice and the right end three times
+        def h(x):
+            return 5.0 * np.asarray(x) ** 4
+
+        rho, vals = 1.2, np.random.default_rng(24).uniform(0.2, 1.0, 30)
+        res = jump_size_gof(None, h, rho, 2, condensation_constant(h, rho, 2, tol=1e-9), bins=8, values=vals)
+        edges = np.linspace(rho - 1.0, 1.0, 9)
+        masses = np.array([jump_marginal_mass(h, rho, 2, a, b) for a, b in zip(edges[:-1], edges[1:])])
+        expected = masses / masses.sum() * vals.size
+        assert expected[0] + expected[1] < 5.0
+        obs, exp, edge_list, merged = self.restart_merge(np.histogram(vals, edges)[0], expected, edges)
+        assert res.merged_bins == merged == 5
+        assert np.array_equal(res.observed, obs) and np.array_equal(res.expected, exp)
+        assert np.array_equal(res.bin_edges, edge_list)
 
     @pytest.mark.parametrize("bins", [0, -3])
     def test_rejects_nonpositive_bins(self, bins):

@@ -291,12 +291,12 @@ class TestGeometry:
             for r in (0.2, 0.5, 0.8):
                 a = float(g_eval(d, r))
                 assert abs(g_inverse(d, a) - r) < tol
-            # an array solves every element exactly as a scalar bisection does
+            # an array solves every element exactly as a scalar bisection does; g(r) = r is inverted exactly for d = 1
             a = np.concatenate([np.linspace(1e-6, 1.0 - 1e-6, 97), [0.5, 0.999999]])
             got = g_inverse(d, a)
             assert got.shape == a.shape
-            assert np.array_equal(got, [scalar_g_inverse(d, float(ai)) for ai in a])
-            assert g_inverse(d, 0.5) == scalar_g_inverse(d, 0.5)
+            assert np.array_equal(got, a if d == 1 else [scalar_g_inverse(d, float(ai)) for ai in a])
+            assert g_inverse(d, 0.5) == (0.5 if d == 1 else scalar_g_inverse(d, 0.5))
             assert isinstance(g_inverse(d, 0.5), float)
 
     def test_g_inverse_domain(self):
@@ -383,18 +383,24 @@ class TestGeometry:
         want = np.array([volume(4, float(ri)) for ri in r])
         assert np.max(np.abs(torus._g_table(4)[0](r) - want)) < 1e-9
 
-    def test_volumes_match_scalar_loop(self):
-        def volume(a):
-            """One radius at a time: 513 Simpson nodes over the last axis, one dot product."""
-            if a * a >= 0.75:
-                return 1.0
-            t = np.linspace(0.0, min(0.5, a), 513)
-            s = np.sqrt(np.maximum(a * a - t * t, 0.0))
-            cross = np.where(s * s >= 0.5, 1.0, torus._disk_square_area(np.minimum(s, math.sqrt(0.5))))
-            return 2.0 * min(0.5, a) * float(torus._SIMPSON @ cross)
+    @staticmethod
+    def scalar_volume(a):
+        """One radius at a time: 513 Simpson nodes over the last axis, the disk area at every node, one dot product."""
+        if a * a >= 0.75:
+            return 1.0
+        t = np.linspace(0.0, min(0.5, a), 513)
+        s = np.sqrt(np.maximum(a * a - t * t, 0.0))
+        cross = np.where(s * s >= 0.5, 1.0, torus._disk_square_area(np.minimum(s, math.sqrt(0.5))))
+        return 2.0 * min(0.5, a) * float(torus._SIMPSON @ cross)
 
+    def test_volumes_match_scalar_loop(self):
         a = 0.5 * math.sqrt(3.0) * np.linspace(1.0 / math.sqrt(3.0), 1.0, torus._TABLE_GRID)
-        assert np.array_equal(torus._cube_ball_volume(3, a), [volume(ai) for ai in a])
+        assert np.array_equal(torus._cube_ball_volume(3, a), [self.scalar_volume(ai) for ai in a])
+
+    def test_volumes_at_random_radii_match_scalar_loop(self):
+        # inside the cube, across both kinks of the cross-section and past the corner, in a ragged last chunk
+        a = np.random.default_rng(3).uniform(0.0, 0.9, 3 * torus._VOLUME_ROWS + 7)
+        assert np.array_equal(torus._cube_ball_volume(3, a), [self.scalar_volume(ai) for ai in a])
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_table_interpolant_matches_scipy_pchip(self, d):
