@@ -54,7 +54,6 @@ from .torus import (
     generate_graph,
     h_lattice,
     lattice_tail_constant,
-    torus_distance,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

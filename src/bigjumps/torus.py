@@ -30,7 +30,6 @@ from ._pchip import pchip
 __all__ = [
     "TorusConfig",
     "DegreeSummary",
-    "torus_distance",
     "sorted_offset_norms2",
     "ball_point_count",
     "generate_graph",
@@ -88,40 +87,27 @@ class DegreeSummary:
         return self.edge_count / self.config.n
 
 
-def torus_distance(d: int, L: int, v, w) -> float:
-    """Euclidean norm of the per-axis wrapped differences min(|dx|, L - |dx|)."""
-    v = np.asarray(v, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if v.shape != (d,) or w.shape != (d,):
-        raise ValueError(f"points must have shape ({d},)")
-    delta = np.abs(v - w) % L
-    delta = np.minimum(delta, L - delta)
-    return float(np.sqrt(np.sum(delta * delta)))
-
-
-def _lattice_points(d: int, N: int) -> np.ndarray:
-    """The n points of [-N, N]^d as rows, in flat vertex-index order."""
-    axis = np.arange(-N, N + 1, dtype=np.int64)
-    return np.stack([g.ravel() for g in np.meshgrid(*([axis] * d), indexing="ij")], axis=1)
-
-
 @lru_cache(maxsize=16)
 def _offset_table(d: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The n-1 nonzero offsets of [-N, N]^d sorted by squared torus norm, those norms, and their counts.
 
-    Every open ball is a union of whole equal-norm groups, so the order within a group does not matter.
-    cnt[m] = #{norms <= m} for m <= min(d N^2, n-1), int32 and never longer than the offsets; all read-only.
+    Each offset is its flat index step in the box [-2N, 2N]^d of side 4N+1.  Every open ball is a union of
+    whole equal-norm groups, so the order within a group does not matter.  cnt[m] = #{norms <= m} for
+    m <= min(d N^2, n-1), int32 and never longer than the offsets; all read-only.
     """
     n = (2 * N + 1) ** d
     if n > _MAX_VERTICES:
         raise ValueError(f"offset table for n={n} exceeds the vertex cap")
-    points = _lattice_points(d, N)
-    norms2 = np.einsum("ij,ij->i", points, points)
+    # steps and squared norms of all n offsets in flat vertex-index order, the first axis the slowest
+    axis = np.arange(-N, N + 1, dtype=np.int64)
+    steps = norms2 = np.zeros(1, dtype=np.int64)
+    for _ in range(d):
+        steps, norms2 = np.add.outer(steps * (4 * N + 1), axis).ravel(), np.add.outer(norms2, axis * axis).ravel()
     order = np.argsort(norms2)[1:]  # drop the zero offset (the centre)
-    offsets, norms2 = np.take(points, order, axis=0), norms2[order].astype(np.float64)
+    steps, norms2 = steps[order], norms2[order].astype(np.float64)
     cnt = np.searchsorted(norms2, np.arange(min(d * N * N, n - 1) + 1), side="right").astype(np.int32)
-    offsets.flags.writeable = norms2.flags.writeable = cnt.flags.writeable = False
-    return offsets, norms2, cnt
+    steps.flags.writeable = norms2.flags.writeable = cnt.flags.writeable = False
+    return steps, norms2, cnt
 
 
 def sorted_offset_norms2(d: int, N: int) -> np.ndarray:
@@ -152,19 +138,11 @@ def ball_point_count(d: int, N: int, R):
 
 
 def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None = None) -> DegreeSummary:
-    """Draw the n out-degrees from `LatticeBall(d, beta)` and scatter the exact in-degrees.
+    """Draw the n out-degrees from `LatticeBall(d, beta)` and scatter the exact in-degrees (`_in_degrees`).
 
-    The out-degrees are `LatticeBall(d, beta).sample(n, default_rng(SeedSequence(seed)), n)`
-    and the in-degrees a function of them alone: no edge list is
-    materialized, since each vertex's ball is a prefix of the norm-sorted
-    offset table.  A target v + o with v, o in [-N, N]^d lies in the box
-    [-2N, 2N]^d without wrapping, so in-degrees are scattered into that box
-    (side P = 4N+1) by flat index, flat(v) + flat(o), in blocks of about
-    `_BLOCK` visits cut at vertex boundaries, then folded once onto the
-    torus.  Memory is the box plus one block, whatever the visit count.
-    `planted_radii` overrides the radius of selected flat vertex indices, so
-    vertex i gets out-degree `ball_point_count(d, N, r)` (used for
-    planted-condensation demonstrations).
+    The out-degrees are `LatticeBall(d, beta).sample(n, default_rng(SeedSequence(seed)), n)`; no edge list
+    is materialized.  `planted_radii` overrides the radius of selected flat vertex indices, so vertex i
+    gets out-degree `ball_point_count(d, N, r)` (used for planted-condensation demonstrations).
     """
     d, N, n = config.d, config.N, config.n
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -177,22 +155,41 @@ def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None =
     visits = int(out_deg.sum())
     if visits > _MAX_BALL_VISITS:
         raise MemoryError(f"graph build would visit {visits} ball points (cap {_MAX_BALL_VISITS})")
+    return DegreeSummary(out_degrees=out_deg, in_degrees=_in_degrees(d, N, out_deg), config=config)
 
-    P = 4 * N + 1
-    weights = P ** np.arange(d - 1, -1, -1, dtype=np.int64)
-    flat_v = (_lattice_points(d, N) + 2 * N) @ weights
-    flat_o = _offset_table(d, N)[0] @ weights
-    ends = np.cumsum(out_deg)
-    starts = ends - out_deg
+
+def _in_degrees(d: int, N: int, out_deg: np.ndarray) -> np.ndarray:
+    """In-degrees (int64) of the torus graph in which vertex i points at the first out_deg[i] table offsets.
+
+    Every ball is a prefix of the norm-sorted table, so the first `common = out_deg.min()` offsets are in
+    every ball.  Distinct offsets of [-N, N]^d stay distinct mod L = 2N+1, so adding one of them to every
+    vertex permutes the torus and gives each vertex one in-edge: only the offsets [common, out_deg[i]) are
+    visited, and `common` is added at the end.  A target v + o lies in the box [-2N, 2N]^d without wrapping,
+    so visits are scattered into that box (side P = 4N+1) by flat index, flat(v) + flat(o), in blocks of
+    about `_BLOCK` visits cut at vertex boundaries, then folded once onto the torus: memory is the box plus
+    one block, whatever the visit count.
+    """
+    L, P = 2 * N + 1, 4 * N + 1
+    common = int(out_deg.min())
+    hot = np.flatnonzero(out_deg > common)
+    extra = out_deg[hot] - common
+    # box index of each hot vertex from its base-L digits c, each at box coordinate c + N, the last axis the fastest
+    flat_v, rest = np.zeros(hot.size, dtype=np.int64), hot
+    for weight in (P**j for j in range(d)):
+        rest, c = np.divmod(rest, L)
+        flat_v += (c + N) * weight
+    flat_o = _offset_table(d, N)[0][common:]
+    ends = np.cumsum(extra)
+    starts = ends - extra
     # cut where a block of _BLOCK visits ends; a ball straddling the mark gets a block of its own
-    marks = np.arange(_BLOCK, visits, _BLOCK)
+    marks = np.arange(_BLOCK, int(extra.sum()), _BLOCK)
     cuts = np.concatenate((np.searchsorted(ends, marks, "right"), np.searchsorted(starts, marks, "left")))
-    bounds = np.unique(np.concatenate(([0, n], cuts)))
+    bounds = np.unique(np.concatenate(([0, hot.size], cuts)))
     box = np.zeros(P**d, dtype=np.int64)
     for a, b in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-        deg = out_deg[a:b]
+        deg = extra[a:b]
         pos = np.arange(starts[a], ends[b - 1]) - np.repeat(starts[a:b], deg)
-        np.add.at(box, np.repeat(flat_v[a:b], deg) + flat_o[pos], 1)
+        np.add.at(box, np.repeat(flat_v[a:b], deg) + flat_o.take(pos), 1)
 
     # fold axis 0 (box index x + 2N for x in [-2N, 2N], torus index (x + N) mod L), then rotate the axes
     box = box.reshape((P,) * d)
@@ -201,8 +198,8 @@ def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None =
         box[N : 2 * N] += box[3 * N + 1 :]
         box = np.moveaxis(box[N : 3 * N + 1], 0, -1)
     in_deg = box.flatten()
-
-    return DegreeSummary(out_degrees=out_deg, in_degrees=in_deg, config=config)
+    in_deg += common
+    return in_deg
 
 
 def condensation_stats(summary: DegreeSummary, k: int, eps: float) -> dict:
@@ -212,6 +209,8 @@ def condensation_stats(summary: DegreeSummary, k: int, eps: float) -> dict:
     big_out_count:   number of vertices with out-degree > eps*n
     max_in_share:    largest in-degree / n
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1; got {k}")
     n = summary.config.n
     out_sorted = np.sort(summary.out_degrees)[::-1]
     k = min(k, n)

@@ -131,6 +131,15 @@ def test_graph_condense_planted(tmp_path, capsys):
     assert stats["top_k_out_share"] == pytest.approx(80 / 81)
 
 
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_graph_condense_rejects_nonpositive_k(tmp_path, capsys, k):
+    assert run(["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "4", "--beta", "3.0", "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert run(["--outdir", str(tmp_path), "graph", "condense", "--k", k, "--eps", "0.1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"k must be >= 1; got {k}" in captured.err
+
+
 @pytest.mark.parametrize("rows", [None, 7])
 def test_graph_degrees_csv_matches_per_row_writer(tmp_path, monkeypatch, rows):
     argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "6", "--beta", "3.0", "--seed", "4"]

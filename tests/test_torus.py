@@ -17,7 +17,6 @@ from bigjumps import (
     generate_graph,
     h_lattice,
     lattice_tail_constant,
-    torus_distance,
 )
 from bigjumps import torus
 
@@ -34,6 +33,35 @@ def scalar_g_inverse(d, a):
         if hi - lo < 1e-12:
             break
     return 0.5 * (lo + hi)
+
+
+def torus_distance(d: int, L: int, v, w) -> float:
+    """Euclidean norm of the per-axis wrapped differences min(|dx|, L - |dx|): the brute-force oracle's metric."""
+    v = np.asarray(v, dtype=float)
+    w = np.asarray(w, dtype=float)
+    if v.shape != (d,) or w.shape != (d,):
+        raise ValueError(f"points must have shape ({d},)")
+    delta = np.abs(v - w) % L
+    delta = np.minimum(delta, L - delta)
+    return float(np.sqrt(np.sum(delta * delta)))
+
+
+def brute_force_degrees(cfg: TorusConfig, planted: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Out- and in-degrees by testing every vertex pair against the Pareto(beta) radii of the seed, planted ones overriding."""
+    d, N, n = cfg.d, cfg.N, cfg.n
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    radii = (1.0 - rng.random(n)) ** (-1.0 / cfg.beta)
+    for i, r in planted.items():
+        radii[i] = r
+    coords = list(itertools.product(range(-N, N + 1), repeat=d))
+    ind = np.zeros(n, int)
+    outd = np.zeros(n, int)
+    for i in range(n):
+        for j in range(n):
+            if i != j and torus_distance(d, cfg.L, coords[i], coords[j]) < radii[i]:
+                outd[i] += 1
+                ind[j] += 1
+    return outd, ind
 
 
 class TestDistance:
@@ -108,6 +136,21 @@ class TestBallCount:
         radii = np.array([0.5, 1.0, 1.5, 2.0, 2.999, 3.0, 3.001, 9.5, 10.0, 10.5, 11.0, 1e6])
         assert ball_point_count(1, 10, radii).tolist() == (2 * np.minimum(np.ceil(radii) - 1, 10)).tolist()
 
+    @pytest.mark.parametrize("d,N", [(1, 5), (2, 4), (3, 3), (2, 64)])
+    def test_table_steps_decode_to_sorted_offsets(self, d, N):
+        # each offset is its flat step in the box of side P = 4N+1: its base-P digits, less N, are the coordinates
+        P, n = 4 * N + 1, (2 * N + 1) ** d
+        steps = torus._offset_table(d, N)[0]
+        rest, coords = steps + N * sum(P**j for j in range(d)), []
+        for _ in range(d):
+            rest, digit = np.divmod(rest, P)
+            coords.append(digit - N)
+        coords = np.stack(coords, axis=1)
+        assert steps.dtype == np.int64 and steps.shape == (n - 1,) and not rest.any()
+        assert np.all(np.abs(coords) <= N) and np.all(np.any(coords != 0, axis=1))
+        assert np.unique(steps).size == n - 1
+        assert np.array_equal(np.sum(coords * coords, axis=1), torus.sorted_offset_norms2(d, N))
+
     def test_empty_radius_array_builds_the_count_table(self):
         torus._offset_table.cache_clear()
         assert ball_point_count(2, 6, np.empty((0, 4))).shape == (0, 4)
@@ -165,18 +208,22 @@ class TestGraph:
         # a torus-covering ball, one at the wrap distance N and one just past the nearest neighbours
         planted = {0: math.inf, n // 2: float(N), n - 1: 1.0 + 1e-9}
         g = generate_graph(cfg, planted)
-        rng = np.random.default_rng(np.random.SeedSequence(3))
-        radii = (1.0 - rng.random(n)) ** (-1.0 / cfg.beta)
-        for i, r in planted.items():
-            radii[i] = r
-        coords = list(itertools.product(range(-N, N + 1), repeat=d))
-        ind = np.zeros(n, int)
-        outd = np.zeros(n, int)
-        for i in range(n):
-            for j in range(n):
-                if i != j and torus_distance(d, cfg.L, coords[i], coords[j]) < radii[i]:
-                    outd[i] += 1
-                    ind[j] += 1
+        outd, ind = brute_force_degrees(cfg, planted)
+        assert np.array_equal(outd, g.out_degrees)
+        assert np.array_equal(ind, g.in_degrees)
+
+    @pytest.mark.parametrize("common", [0, 8])
+    def test_shared_offsets_against_brute_force(self, common):
+        # the offsets every ball holds are added as a torus shift, not visited: an empty planted ball
+        # (radius 0.5) leaves none shared; radii all in (sqrt 2, 2) share the 8 offsets of norm^2 1 and 2
+        cfg = TorusConfig(d=2, N=3, beta=3.0, seed=6)
+        if common == 0:
+            planted = {5: 0.5, 20: math.inf, 33: 2.5}
+        else:
+            planted = {i: 1.5 + 0.1 * (i % 5) for i in range(cfg.n)} | {7: 2.5, 30: float(cfg.N), 48: math.inf}
+        g = generate_graph(cfg, planted)
+        assert g.out_degrees.min() == common
+        outd, ind = brute_force_degrees(cfg, planted)
         assert np.array_equal(outd, g.out_degrees)
         assert np.array_equal(ind, g.in_degrees)
 
@@ -252,6 +299,12 @@ class TestGraph:
 
 
 class TestCondensationStats:
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_rejects_nonpositive_k(self, k):
+        g = generate_graph(TorusConfig(d=2, N=4, beta=3.0, seed=1))
+        with pytest.raises(ValueError, match=f"k must be >= 1; got {k}"):
+            condensation_stats(g, k=k, eps=0.1)
+
     def test_top_n_share_is_edge_density(self):
         cfg = TorusConfig(d=1, N=30, beta=1.5, seed=6)
         g = generate_graph(cfg)
