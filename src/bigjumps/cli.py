@@ -52,6 +52,7 @@ def _write_manifest(args, name: str, started: float, params: dict) -> None:
         "version": __version__,
         "libraries": _libraries(),
         "workers": schemes._WORKERS,
+        "cpu_count": os.cpu_count(),
         "duration_s": round(time.time() - started, 3),
     }
     path = _outdir(args) / f"{name.replace(' ', '_')}.manifest.json"
@@ -278,16 +279,48 @@ def _load_graph(args) -> torus.DegreeSummary:
     return torus.DegreeSummary(out_degrees=data["out_degrees"], in_degrees=data["in_degrees"], config=cfg)
 
 
+def _csv_rows(*cols: np.ndarray) -> bytes:
+    """The rows of equal-length non-negative integer columns, each formatted ``"%d,...,%d\\n"``.
+
+    Each column's digits are written right to left into a uint8 grid as wide as
+    the block's largest value (on int32 when that is below 2**31); the positions
+    left of a value's leading digit stay NUL and are deleted at the end.
+    """
+    columns = []
+    for col in cols:
+        if col.dtype.kind not in "iu" or col.min() < 0:
+            raise ValueError(f"degrees must be non-negative integers; got {col.dtype} with minimum {col.min()}")
+        top = int(col.max())
+        columns.append((col.astype(np.int32) if top < 2**31 else col, len(str(top))))
+    buf = np.empty((len(cols[0]), sum(width for _, width in columns) + len(columns)), np.uint8)
+    end = 0
+    for value, width in columns:
+        end += width
+        for pos in range(end - 1, end - width - 1, -1):
+            quot = value // 10
+            digit = value - 10 * quot + ord("0")
+            if pos < end - 1:  # the units digit always prints, so 0 is written "0"
+                digit *= value > 0
+            buf[:, pos] = digit
+            value = quot
+        buf[:, end] = ord(",")
+        end += 1
+    buf[:, -1] = ord("\n")
+    return buf.tobytes().translate(None, b"\0")
+
+
 def _cmd_graph_degrees(args):
     summary = _load_graph(args)
     path = Path(args.out) if args.out else _outdir(args) / "degrees.csv"
-    table = np.column_stack((np.arange(summary.config.n), summary.out_degrees, summary.in_degrees))
-    with open(path, "w") as fh:
-        fh.write("vertex_index,out_degree,in_degree\n")
-        for start in range(0, len(table), _CSV_ROWS):
-            block = table[start : start + _CSV_ROWS]
-            fh.write(("%d,%d,%d\n" * len(block)) % tuple(block.ravel().tolist()))
-    _emit({"n": summary.config.n, "csv": str(path), "edge_count": summary.edge_count}, args)
+    n = summary.config.n
+    if not len(summary.out_degrees) == len(summary.in_degrees) == n:
+        raise ValueError(f"{len(summary.out_degrees)} out- and {len(summary.in_degrees)} in-degrees for {n} vertices")
+    with open(path, "wb") as fh:
+        fh.write(b"vertex_index,out_degree,in_degree\n")
+        for start in range(0, n, _CSV_ROWS):
+            stop = min(start + _CSV_ROWS, n)
+            fh.write(_csv_rows(np.arange(start, stop), summary.out_degrees[start:stop], summary.in_degrees[start:stop]))
+    _emit({"n": n, "csv": str(path), "edge_count": summary.edge_count}, args)
 
 
 def _cmd_graph_condense(args):

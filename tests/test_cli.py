@@ -1,5 +1,6 @@
 import importlib.metadata
 import json
+import os
 import platform
 import re
 
@@ -48,6 +49,7 @@ def test_krho_from_scheme(tmp_path, capsys, pareto_cfg):
         "scipy": importlib.metadata.version("scipy"),
     }
     assert manifest["workers"] == schemes._WORKERS
+    assert manifest["cpu_count"] == os.cpu_count()
 
 
 def test_manifest_library_version_is_null_when_not_installed(tmp_path, monkeypatch):
@@ -154,6 +156,61 @@ def test_graph_degrees_csv_matches_per_row_writer(tmp_path, monkeypatch, rows):
     )
     assert out_deg[0] == 168
     assert (tmp_path / "deg.csv").read_bytes() == want.encode()
+
+
+def _percent_rows(*cols):
+    return "".join("%d,%d,%d\n" % row for row in zip(*(c.tolist() for c in cols))).encode()
+
+
+@pytest.mark.parametrize("value", [0, *(v for k in range(1, 10) for v in (10**k - 1, 10**k)), 2**31 - 1, 2**31])
+def test_csv_rows_matches_percent_format_at_digit_edges(value):
+    # 2**31 - 1 is the widest value formatted on int32, 2**31 the narrowest kept on int64
+    col = np.array([value, 0, 7, value])
+    cols = (col, col[::-1].copy(), np.full(4, value))
+    assert cli._csv_rows(*cols) == _percent_rows(*cols)
+
+
+def test_csv_rows_matches_percent_format_on_random_block():
+    rng = np.random.default_rng(11)
+    cols = (
+        rng.integers(0, 10**6, 4000, dtype=np.int32),
+        rng.integers(0, 2**40, 4000),
+        rng.integers(0, 2**64 - 1, 4000, dtype=np.uint64, endpoint=True),
+    )
+    assert cli._csv_rows(*cols) == _percent_rows(*cols)
+
+
+def test_graph_degrees_one_row_blocks_with_zero_degrees(tmp_path, monkeypatch):
+    # N=6, d=1: vertex 6's ball of radius 5.5 reaches vertices 1..11, every other radius 0.5 reaches none,
+    # so vertex 0's row is all zeros and the widest value changes from block to block
+    plant = [f"{i}:0.5" for i in range(13) if i != 6]
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "1", "--N", "6", "--beta", "3.0", "--seed", "4"]
+    assert run([*argv, "--plant", "6:5.5", *plant]) == 0
+    monkeypatch.setattr(cli, "_CSV_ROWS", 1)
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--out", str(tmp_path / "deg.csv")]) == 0
+    with np.load(tmp_path / "graph.npz") as data:
+        want = _percent_rows(np.arange(13), data["out_degrees"], data["in_degrees"])
+    got = (tmp_path / "deg.csv").read_bytes()
+    assert got == b"vertex_index,out_degree,in_degree\n" + want
+    rows = got.splitlines()[1:]
+    assert rows[0] == b"0,0,0" and rows[6] == b"6,10,0"
+
+
+@pytest.mark.parametrize(
+    "out_deg, in_deg, err",
+    [
+        ([1, 0, 0], [0, -1, 1], "degrees must be non-negative integers"),
+        ([1.0, 0.0, 0.0], [0, 1, 0], "degrees must be non-negative integers"),
+        ([2], [0, 1, 1], "1 out- and 3 in-degrees for 3 vertices"),
+        ([1, 0, 0, 0], [0, 1, 0, 0], "4 out- and 4 in-degrees for 3 vertices"),
+    ],
+    ids=["negative", "float", "short", "long"],
+)
+def test_graph_degrees_malformed_npz_exits_one(tmp_path, capsys, out_deg, in_deg, err):
+    graph = tmp_path / "graph.npz"
+    np.savez(graph, out_degrees=np.array(out_deg), in_degrees=np.array(in_deg), d=1, N=1, beta=3.0, seed=0)
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--graph", str(graph)]) == 1
+    assert err in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("plant", ["500:5", "-1:5"])
