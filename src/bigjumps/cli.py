@@ -55,20 +55,14 @@ def _write_manifest(args, name: str, started: float, params: dict) -> None:
         "cpu_count": os.cpu_count(),
         "duration_s": round(time.time() - started, 3),
     }
-    path = _outdir(args) / f"{name.replace(' ', '_')}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write(_outdir(args) / f"{name.replace(' ', '_')}.manifest.json", lambda fh: fh.write(text.encode()))
 
 
 def _params(args) -> dict:
-    skip = {"func"}
-    out = {}
-    for key, val in vars(args).items():
-        if key in skip:
-            continue
-        out[key] = str(val) if isinstance(val, Path) else val
-    scheme = out.get("scheme")
-    if scheme:  # echo the config so the manifest pins every scientific parameter
-        out["scheme_config"] = Path(scheme).read_text()
+    out = {key: val for key, val in vars(args).items() if key != "func"}
+    if out.get("scheme"):  # echo the config so the manifest pins every scientific parameter
+        out["scheme_config"] = Path(out["scheme"]).read_text()
     return out
 
 
@@ -76,26 +70,35 @@ def _emit(obj, args, filename: str | None = None) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True, default=_jsonable)
     print(text)
     if filename:
-        (_outdir(args) / filename).write_text(text + "\n")
+        _write(_outdir(args) / filename, lambda fh: fh.write((text + "\n").encode()))
 
 
 def _jsonable(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _write(path: Path, write) -> None:
+    """Write ``path`` whole or not at all: ``write(fh)`` fills a binary ``.NAME.tmp`` beside it, renamed onto it."""
+    if path.exists() and not path.is_file():  # the rename would replace a directory, a device or a link to one
+        raise ValueError(f"{path} exists and is not a regular file")
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_csv(path: Path, header: list[str], rows: list[dict]) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row.get(col, "")) if not isinstance(row.get(col), str) else row[col] for col in header) + "\n")
+    text = ",".join(header) + "\n" + "".join(
+        ",".join(repr(row.get(col, "")) if not isinstance(row.get(col), str) else row[col] for col in header) + "\n"
+        for row in rows
+    )
+    _write(path, lambda fh: fh.write(text.encode()))
 
 
 def _resolve_h(args):
@@ -209,9 +212,8 @@ def _profiles(args, spec, window) -> rare_event.ConditionalSample:
 def _cmd_condition(args):
     cond = _profiles(args, schemes.load_scheme_config(args.scheme), _window(args))
     path = _outdir(args) / "profiles.jsonl"
-    with open(path, "w") as fh:
-        for p in cond.profiles:
-            fh.write(json.dumps(dataclasses.asdict(p)) + "\n")
+    text = "".join(json.dumps(dataclasses.asdict(p)) + "\n" for p in cond.profiles)
+    _write(path, lambda fh: fh.write(text.encode()))
     _emit(
         {
             "hits": cond.hits,
@@ -258,25 +260,22 @@ def _cmd_graph_gen(args):
     cfg = torus.TorusConfig(d=args.d, N=args.N, beta=args.beta, seed=args.seed)
     summary = torus.generate_graph(cfg, planted_radii=dict(args.plant or ()) or None)
     path = _graph_path(args)
-    np.savez(
-        path,
-        out_degrees=summary.out_degrees,
-        in_degrees=summary.in_degrees,
-        d=cfg.d,
-        N=cfg.N,
-        beta=cfg.beta,
-        seed=cfg.seed,
-    )
-    _emit(
-        {"n": cfg.n, "edge_count": summary.edge_count, "rho_n": summary.rho_n, "graph_file": str(path)},
-        args,
-    )
+    arrays = {"out_degrees": summary.out_degrees, "in_degrees": summary.in_degrees}
+    _write(path, lambda fh: np.savez(fh, **arrays, d=cfg.d, N=cfg.N, beta=cfg.beta, seed=cfg.seed))
+    _emit({"n": cfg.n, "edge_count": summary.edge_count, "rho_n": summary.rho_n, "graph_file": str(path)}, args)
 
 
 def _load_graph(args) -> torus.DegreeSummary:
-    data = np.load(_graph_path(args))
-    cfg = torus.TorusConfig(d=int(data["d"]), N=int(data["N"]), beta=float(data["beta"]), seed=int(data["seed"]))
-    return torus.DegreeSummary(out_degrees=data["out_degrees"], in_degrees=data["in_degrees"], config=cfg)
+    path = _graph_path(args)
+    with np.load(path) as data:
+        missing = sorted({"out_degrees", "in_degrees", "d", "N", "beta", "seed"}.difference(data.files))
+        if missing:
+            raise ValueError(f"{path} is not a stored graph: it lacks {', '.join(missing)}")
+        cfg = torus.TorusConfig(d=int(data["d"]), N=int(data["N"]), beta=float(data["beta"]), seed=int(data["seed"]))
+        out_deg, in_deg = data["out_degrees"], data["in_degrees"]
+    if not len(out_deg) == len(in_deg) == cfg.n:
+        raise ValueError(f"{len(out_deg)} out- and {len(in_deg)} in-degrees for {cfg.n} vertices")
+    return torus.DegreeSummary(out_degrees=out_deg, in_degrees=in_deg, config=cfg)
 
 
 def _csv_rows(*cols: np.ndarray) -> bytes:
@@ -313,13 +312,14 @@ def _cmd_graph_degrees(args):
     summary = _load_graph(args)
     path = Path(args.out) if args.out else _outdir(args) / "degrees.csv"
     n = summary.config.n
-    if not len(summary.out_degrees) == len(summary.in_degrees) == n:
-        raise ValueError(f"{len(summary.out_degrees)} out- and {len(summary.in_degrees)} in-degrees for {n} vertices")
-    with open(path, "wb") as fh:
+
+    def write(fh):
         fh.write(b"vertex_index,out_degree,in_degree\n")
         for start in range(0, n, _CSV_ROWS):
             stop = min(start + _CSV_ROWS, n)
             fh.write(_csv_rows(np.arange(start, stop), summary.out_degrees[start:stop], summary.in_degrees[start:stop]))
+
+    _write(path, write)
     _emit({"n": n, "csv": str(path), "edge_count": summary.edge_count}, args)
 
 
@@ -366,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--outdir", default=None, help=f"output directory (default: ${_OUT_ENV} or cwd)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, fn, subs=sub, **kwargs):
+        p = subs.add_parser(name.split()[-1], **kwargs)
         p.set_defaults(func=fn, _name=name)
         return p
 
@@ -427,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     graph = sub.add_parser("graph", help="lattice-torus graph commands")
     gsub = graph.add_subparsers(dest="graph_command", required=True)
 
-    p = gsub.add_parser("gen", help="sample the full graph and store degree arrays")
-    p.set_defaults(func=_cmd_graph_gen, _name="graph gen")
+    p = add("graph gen", _cmd_graph_gen, gsub, help="sample the full graph and store degree arrays")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--beta", type=float, required=True)
@@ -439,14 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="planted radius overrides; write a negative index as --plant=-1:5",
     )
 
-    p = gsub.add_parser("degrees", help="export per-vertex degrees as CSV")
-    p.set_defaults(func=_cmd_graph_degrees, _name="graph degrees")
-    p.add_argument("--graph", help="input .npz path")
+    stored = argparse.ArgumentParser(add_help=False)  # graph degrees and condense
+    stored.add_argument("--graph", help="input .npz path")
+
+    p = add("graph degrees", _cmd_graph_degrees, gsub, parents=[stored], help="export per-vertex degrees as CSV")
     p.add_argument("--out", help="CSV output path")
 
-    p = gsub.add_parser("condense", help="condensation statistics of a stored graph")
-    p.set_defaults(func=_cmd_graph_condense, _name="graph condense")
-    p.add_argument("--graph", help="input .npz path")
+    p = add("graph condense", _cmd_graph_condense, gsub, parents=[stored],
+            help="condensation statistics of a stored graph")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=float, required=True)
 

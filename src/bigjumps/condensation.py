@@ -359,7 +359,8 @@ def condensation_constant(
     refinements each grow by more than 1 percent (finiteness of K is an
     assumption on h, not a guarantee); `note` names the rule that fired.
     When the finest level leaves the bound above tol, `note` says so and
-    `diverged` stays False.  Otherwise `note` is empty.
+    `diverged` stays False.  Otherwise `note` is empty.  The Monte Carlo
+    bound of 3 SE assumes finite variance: for h ~ (1-x)^-gamma, gamma < 1/2.
 
     At k = 3 the inner rows of a large refinement pass run on the worker
     pool of the sampling routines, with results bit-identical at any worker

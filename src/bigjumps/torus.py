@@ -42,7 +42,7 @@ __all__ = [
     "calibrate_h",
 ]
 
-# hard cap on total ball-point visits per graph build
+# hard cap on the ball-point visits one in-degree scatter makes
 _MAX_BALL_VISITS = 100_000_000
 # ball visits per in-degree scatter block, and radii per ball_point_count chunk
 _BLOCK = 1 << 16
@@ -151,10 +151,6 @@ def generate_graph(config: TorusConfig, planted_radii: dict[int, float] | None =
         if not 0 <= idx < n:
             raise ValueError(f"planted vertex index {idx} is outside [0, {n})")
         out_deg[idx] = ball_point_count(d, N, r)
-
-    visits = int(out_deg.sum())
-    if visits > _MAX_BALL_VISITS:
-        raise MemoryError(f"graph build would visit {visits} ball points (cap {_MAX_BALL_VISITS})")
     return DegreeSummary(out_degrees=out_deg, in_degrees=_in_degrees(d, N, out_deg), config=config)
 
 
@@ -173,6 +169,9 @@ def _in_degrees(d: int, N: int, out_deg: np.ndarray) -> np.ndarray:
     common = int(out_deg.min())
     hot = np.flatnonzero(out_deg > common)
     extra = out_deg[hot] - common
+    visits = int(extra.sum())
+    if visits > _MAX_BALL_VISITS:
+        raise ValueError(f"graph build would scatter {visits} ball points (cap {_MAX_BALL_VISITS})")
     # box index of each hot vertex from its base-L digits c, each at box coordinate c + N, the last axis the fastest
     flat_v, rest = np.zeros(hot.size, dtype=np.int64), hot
     for weight in (P**j for j in range(d)):
@@ -182,7 +181,7 @@ def _in_degrees(d: int, N: int, out_deg: np.ndarray) -> np.ndarray:
     ends = np.cumsum(extra)
     starts = ends - extra
     # cut where a block of _BLOCK visits ends; a ball straddling the mark gets a block of its own
-    marks = np.arange(_BLOCK, int(extra.sum()), _BLOCK)
+    marks = np.arange(_BLOCK, visits, _BLOCK)
     cuts = np.concatenate((np.searchsorted(ends, marks, "right"), np.searchsorted(starts, marks, "left")))
     bounds = np.unique(np.concatenate(([0, hot.size], cuts)))
     box = np.zeros(P**d, dtype=np.int64)

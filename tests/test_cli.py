@@ -3,11 +3,12 @@ import json
 import os
 import platform
 import re
+import stat
 
 import numpy as np
 import pytest
 
-from bigjumps import cli, schemes
+from bigjumps import cli, schemes, torus
 from bigjumps.cli import run
 
 
@@ -211,6 +212,96 @@ def test_graph_degrees_malformed_npz_exits_one(tmp_path, capsys, out_deg, in_deg
     np.savez(graph, out_degrees=np.array(out_deg), in_degrees=np.array(in_deg), d=1, N=1, beta=3.0, seed=0)
     assert run(["--outdir", str(tmp_path), "graph", "degrees", "--graph", str(graph)]) == 1
     assert err in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("existing", [None, b"old bytes\n"], ids=["absent", "existing"])
+def test_graph_degrees_failure_leaves_no_partial_csv(tmp_path, capsys, monkeypatch, existing):
+    # row 0 formats, row 1 holds a negative in-degree: the error comes after the first block was written
+    graph = tmp_path / "graph.npz"
+    np.savez(graph, out_degrees=np.array([1, 0, 0]), in_degrees=np.array([0, -1, 1]), d=1, N=1, beta=3.0, seed=0)
+    csv = tmp_path / "degrees.csv"
+    if existing:
+        csv.write_bytes(existing)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 1)
+    assert run(["--outdir", str(tmp_path), "graph", "degrees"]) == 1
+    assert "degrees must be non-negative integers" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["degrees.csv", "graph.npz"] if existing else ["graph.npz"])
+    if existing:
+        assert csv.read_bytes() == existing
+
+
+def test_graph_path_without_npz_suffix_round_trips(tmp_path, capsys):
+    graph, out = tmp_path / "g", tmp_path / "g.csv"
+    argv = ["--outdir", str(tmp_path), "graph", "gen", "--d", "1", "--N", "50", "--beta", "1.5", "--seed", "2"]
+    assert run([*argv, "--graph", str(graph)]) == 0
+    assert json.loads(capsys.readouterr().out)["graph_file"] == str(graph)
+    assert graph.is_file() and not (tmp_path / "g.npz").exists()
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--graph", str(graph), "--out", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["csv"] == str(out)
+    assert run(["--outdir", str(tmp_path), "graph", "condense", "--graph", str(graph), "--k", "1", "--eps", "0.1"]) == 0
+    stats = json.loads(capsys.readouterr().out)
+    with np.load(graph) as data:
+        want = "vertex_index,out_degree,in_degree\n" + "".join(
+            f"{i},{o},{d}\n" for i, (o, d) in enumerate(zip(data["out_degrees"].tolist(), data["in_degrees"].tolist()))
+        )
+        assert stats["edge_count"] == int(data["out_degrees"].sum())
+    assert out.read_text() == want
+
+
+_STORED = {"out_degrees": [2, 2, 2], "in_degrees": [3, 3], "d": 1, "N": 5, "beta": 1.5, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "arrays, err",
+    [
+        (_STORED, "3 out- and 2 in-degrees for 11 vertices"),
+        ({**_STORED, "in_degrees": [1] * 11, "out_degrees": [1] * 11, "d": None}, "is not a stored graph: it lacks d"),
+    ],
+    ids=["short", "no-d"],
+)
+@pytest.mark.parametrize(
+    "command", [["degrees"], ["condense", "--k", "1", "--eps", "0.1"]], ids=["degrees", "condense"]
+)
+def test_stored_graph_is_checked_where_it_is_loaded(tmp_path, capsys, arrays, err, command):
+    np.savez(tmp_path / "graph.npz", **{key: np.array(val) for key, val in arrays.items() if val is not None})
+    assert run(["--outdir", str(tmp_path), "graph", *command]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and err in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.npz"]
+
+
+@pytest.mark.parametrize("kind", ["directory", "device-link"])
+def test_out_that_is_not_a_regular_file_is_refused(tmp_path, capsys, kind):
+    assert run(["--outdir", str(tmp_path), "graph", "gen", "--d", "1", "--N", "5", "--beta", "1.5", "--seed", "1"]) == 0
+    capsys.readouterr()
+    target = tmp_path / "target"
+    target.mkdir() if kind == "directory" else target.symlink_to(os.devnull)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--out", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"{target} exists and is not a regular file" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    if kind == "directory":
+        assert target.is_dir() and not any(target.iterdir())
+    else:
+        assert target.is_symlink() and stat.S_ISCHR(target.stat().st_mode)
+
+
+def test_symlinked_out_is_replaced_not_written_through(tmp_path, capsys):
+    assert run(["--outdir", str(tmp_path), "graph", "gen", "--d", "1", "--N", "5", "--beta", "1.5", "--seed", "1"]) == 0
+    real, link = tmp_path / "real.csv", tmp_path / "deg.csv"
+    real.write_bytes(b"kept\n")
+    link.symlink_to(real)
+    assert run(["--outdir", str(tmp_path), "graph", "degrees", "--out", str(link)]) == 0
+    assert not link.is_symlink() and link.read_text().startswith("vertex_index,out_degree,in_degree\n")
+    assert real.read_bytes() == b"kept\n"
+
+
+def test_graph_gen_above_the_visit_cap_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(torus, "_MAX_BALL_VISITS", 10)
+    assert run(["--outdir", str(tmp_path), "graph", "gen", "--d", "2", "--N", "8", "--beta", "3.0", "--seed", "1"]) == 1
+    assert "(cap 10)" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("plant", ["500:5", "-1:5"])

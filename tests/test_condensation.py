@@ -167,16 +167,63 @@ _EDGE_CLIP = pytest.mark.xfail(
 )
 
 
-@pytest.mark.parametrize(
-    "scheme, rho",
-    [(TP, 1.5)] + [pytest.param(SmoothCutoff(c=1.5, alpha=1.5), rho, marks=_EDGE_CLIP) for rho in (1.2, 1.5, 1.8)],
-    ids=["pareto-1.5", "smooth-1.2", "smooth-1.5", "smooth-1.8"],
+class EdgePower:
+    """h_gamma(x) = (1 - x)^-gamma, whose K has a closed form for every k.  With u_i = 1 - x_i the slab
+    {x in (0, 1)^k, sum x = rho} is the simplex {u >= 0, sum u = s}, s = k - rho, and Dirichlet's integral
+    (Whittaker & Watson, A Course of Modern Analysis, 12.5) gives
+    K_k(rho) = s^(k(1-gamma) - 1) Gamma(1-gamma)^k / Gamma(k(1-gamma)).  gamma = 0 is `uniform_h`."""
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+
+    def h(self, x):
+        return (1.0 - np.asarray(x, dtype=float)) ** -self.gamma
+
+    def krho(self, rho, k):
+        a = 1.0 - self.gamma
+        return (k - rho) ** (k * a - 1.0) * math.gamma(a) ** k / math.gamma(k * a)
+
+
+_GAMMA_EDGE_CLIP = pytest.mark.xfail(
+    strict=True,
+    reason="the 1e-12 edge clip of the tanh-sinh nodes loses mass of order 1e-12^(1 - gamma): relative errors "
+    "from -8.8e-10 (gamma 0.25) to -1.2e-1 (gamma 0.9), against bounds of at most 4.2e-6 relative",
 )
-def test_grid_bound_covers_reference_error(scheme, rho):
+
+
+@pytest.mark.parametrize(
+    "scheme, rho, k, tol",
+    [pytest.param(TP, 1.5, 2, 1e-10, id="pareto-1.5")]
+    + [
+        pytest.param(SmoothCutoff(c=1.5, alpha=1.5), rho, 2, 1e-10, marks=_EDGE_CLIP, id=f"smooth-{rho}")
+        for rho in (1.2, 1.5, 1.8)
+    ]
+    + [
+        pytest.param(
+            EdgePower(gamma), rho, k, 1e-8, marks=_GAMMA_EDGE_CLIP if gamma else (), id=f"gamma{gamma}-k{k}-{rho}"
+        )
+        for gamma in (0.0, 0.25, 0.5, 0.75, 0.9)
+        for k, rho in ((2, 1.5), (2, 1.9), (3, 2.5))
+    ],
+)
+def test_grid_bound_covers_reference_error(scheme, rho, k, tol):
     # references: TruncatedPareto 5.2378280088, SmoothCutoff 113.72068, 13.33750 and 2.71929
-    res = condensation_constant(scheme.h, rho=rho, k=2, tol=1e-10, method="grid")
-    ref, ref_err = k2_reference(scheme, rho)
+    res = condensation_constant(scheme.h, rho=rho, k=k, tol=tol, method="grid")
+    ref, ref_err = (scheme.krho(rho, k), 0.0) if isinstance(scheme, EdgePower) else k2_reference(scheme, rho)
     assert abs(res.value - ref) <= res.abs_error_bound + ref_err
+
+
+# gamma >= 1/2 is left out: h(rho - s)^2 is not integrable at the edge once 2 gamma >= 1, so the standard error
+# behind the 3-sigma bound means nothing (gamma 0.75 and 0.9 missed it by up to -42% on some seeds).  Each case
+# misses a 3-sigma normal bound with probability about 0.27% under a new seed; the seeds here are fixed.
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("k, rho", [(4, 3.5), (5, 4.5)])
+@pytest.mark.parametrize("gamma", [0.0, 0.25])
+def test_monte_carlo_bound_covers_closed_form(gamma, k, rho, seed):
+    scheme = EdgePower(gamma)
+    res = condensation_constant(scheme.h, rho=rho, k=k, method="monte_carlo", samples=400_000, seed=seed)
+    assert res.method == "monte_carlo"
+    assert abs(res.value - scheme.krho(rho, k)) <= res.abs_error_bound
 
 
 class TestJumpDensity:

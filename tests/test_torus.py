@@ -263,6 +263,20 @@ class TestGraph:
             assert np.array_equal(g.in_degrees, ref.in_degrees)
             assert g.in_degrees.dtype == ref.in_degrees.dtype
 
+    def test_visit_cap_counts_the_scattered_visits(self, monkeypatch):
+        # the cap bounds the visits the scatter makes, not the n * min(out-degree) it skips
+        cfg = TorusConfig(d=2, N=8, beta=3.0, seed=1)
+        want = generate_graph(cfg)
+        total = int(want.out_degrees.sum())
+        unshared = total - cfg.n * int(want.out_degrees.min())
+        assert 0 < unshared < total
+        monkeypatch.setattr(torus, "_MAX_BALL_VISITS", (unshared + total) // 2)
+        got = generate_graph(cfg)
+        assert np.array_equal(got.out_degrees, want.out_degrees) and np.array_equal(got.in_degrees, want.in_degrees)
+        monkeypatch.setattr(torus, "_MAX_BALL_VISITS", unshared - 1)
+        with pytest.raises(ValueError, match=f"would scatter {unshared} ball points"):
+            generate_graph(cfg)
+
     def test_memory_is_bounded_by_box_and_block(self):
         # 64 torus-covering balls make 4.8M ball visits; only the box and one block may be held
         cfg = TorusConfig(d=2, N=128, beta=3.0, seed=3)
